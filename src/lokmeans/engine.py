@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DivergenceSpec, DomainError, domain_contains, pairwise
+from .divergence import DivergenceSpec, DomainError, domain_contains, pairwise, rowwise
 from .model import Dataset, ClusterStats, cluster_stats, clustering_loss
 
 VARIANTS = ("none", "c-lo", "d-lo", "min-d-lo", "pnx")
@@ -110,8 +110,10 @@ def init_centers(
 
     "uniform" ignores weights. "kmeans++" draws the first center with
     probability proportional to weight, then each next one proportional to
-    weight times divergence to the nearest chosen center; chosen points
-    have zero divergence, so the draw is without replacement automatically.
+    weight times divergence to the nearest chosen center. Divergences come
+    from the exact closed form (``rowwise``), under which a chosen point has
+    exactly zero divergence to itself, so the draw is without replacement
+    automatically.
     """
     if k > dataset.n:
         raise ValueError(f"cannot choose {k} distinct centers from {dataset.n} points")
@@ -123,12 +125,11 @@ def init_centers(
     weights = dataset.weights
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.choice(dataset.n, p=weights / weights.sum())
-    nearest = pairwise(spec, dataset.points, dataset.points[chosen[:1]])[:, 0]
+    nearest = rowwise(spec, dataset.points, dataset.points[chosen[0]])
     for j in range(1, k):
         mass = weights * nearest
         chosen[j] = rng.choice(dataset.n, p=mass / mass.sum())
-        fresh = pairwise(spec, dataset.points, dataset.points[chosen[j : j + 1]])[:, 0]
-        nearest = np.minimum(nearest, fresh)
+        nearest = np.minimum(nearest, rowwise(spec, dataset.points, dataset.points[chosen[j]]))
     return dataset.points[chosen].copy()
 
 

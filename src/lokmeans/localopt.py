@@ -12,6 +12,17 @@ where c_a', c_b' are the post-move weighted means, obtained in O(d) by
 rank-one updates. The source term is zero when the move empties cluster
 ``a``. Evaluating this instead of recomputing the full loss is what makes
 the local-optimality steps cheap.
+
+For quadratic phi (squared Euclidean and Mahalanobis) both center shifts
+are multiples of D(x_g, c), and the hard move (alpha = 1) reduces to
+Hartigan's form (Telgarsky & Vattani, *Hartigan's Method*, AISTATS 2010)
+
+    delta = w W_b / (W_b + w) D(x_g, c_b) - w W_a / (W_a - w) D(x_g, c_a)
+
+with W the cluster weights; a singleton source contributes -w D(x_g, c_a).
+``move_cost_matrix`` reads it off the cached (N, K) divergence matrix, so
+these kinds need no (N, K, d) scratch. KL and Itakura-Saito keep the
+rank-one form, and ``delta_move`` evaluates the general form for one move.
 """
 
 from __future__ import annotations
@@ -20,17 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DivergenceSpec, pairwise, rowwise
+from .divergence import QUADRATIC_KINDS, DivergenceSpec, pairwise, rowwise
 from .model import (
     ClusterStats,
     Dataset,
     clustering_loss,
     cluster_stats,
     incremental_center_update,
+    origin_loss,
     rounding_floor,
 )
 
-# Row-chunk bound on the (rows, K, d) scratch tensor used by move_cost_matrix.
+# Row-chunk bound on the (rows, K, d) scratch tensor of move_cost_matrix's
+# rank-one path (KL and Itakura-Saito).
 _CHUNK_ELEMENTS = 4_000_000
 
 
@@ -110,35 +123,46 @@ def move_cost_matrix(
 
     rows = np.arange(n)
     own = divs[rows, labels]
-    delta = weights[:, None] * (divs - own[:, None])
-
-    # Source term: depends on the point only. Singleton sources contribute
-    # zero and their rank-one formula is skipped entirely, since its
-    # intermediate value could leave the divergence domain.
-    src_centers = centers[labels]
     remaining = stats.weight_sum[labels] - weights
     multi = stats.member_count[labels] > 1
     if ((remaining <= 0.0) & multi).any():
         raise ArithmeticError("cluster weights inconsistent with member weights")
-    src_term = np.zeros(n, dtype=np.float64)
-    if multi.any():
-        idx = np.flatnonzero(multi)
-        shifted = src_centers[idx] - (
-            (weights[idx] / remaining[idx])[:, None] * (points[idx] - src_centers[idx])
-        )
-        src_term[idx] = remaining[idx] * rowwise(spec, shifted, src_centers[idx])
-    delta -= src_term[:, None]
 
-    # Destination term: (N, K, d) scratch, chunked over rows to bound memory.
-    step = max(1, _CHUNK_ELEMENTS // max(1, k * points.shape[1]))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        w_block = weights[start:stop, None]
-        grown = stats.weight_sum[None, :] + w_block
-        shifted = centers[None, :, :] + (w_block / grown)[:, :, None] * (
-            points[start:stop, None, :] - centers[None, :, :]
+    if spec.kind in QUADRATIC_KINDS:
+        # Hartigan's form: both center shifts are multiples of D(x, c), so
+        # the cost is read off the cached matrix. Singleton sources keep
+        # the plain -w D(x, c_a) term, as in the rank-one path below.
+        src_scale = np.ones(n, dtype=np.float64)
+        src_scale[multi] = stats.weight_sum[labels][multi] / remaining[multi]
+        delta = (weights[:, None] * stats.weight_sum[None, :]) / (
+            stats.weight_sum[None, :] + weights[:, None]
         )
-        delta[start:stop] -= grown * rowwise(spec, shifted, centers[None, :, :])
+        delta *= divs
+        delta -= (weights * src_scale * own)[:, None]
+    else:
+        delta = weights[:, None] * (divs - own[:, None])
+        # Source term: depends on the point only. Singleton sources
+        # contribute zero and their rank-one formula is skipped entirely,
+        # since its intermediate value could leave the divergence domain.
+        src_centers = centers[labels]
+        src_term = np.zeros(n, dtype=np.float64)
+        if multi.any():
+            idx = np.flatnonzero(multi)
+            shifted = src_centers[idx] - (
+                (weights[idx] / remaining[idx])[:, None] * (points[idx] - src_centers[idx])
+            )
+            src_term[idx] = remaining[idx] * rowwise(spec, shifted, src_centers[idx])
+        delta -= src_term[:, None]
+        # Destination term: (N, K, d) scratch, chunked over rows to bound memory.
+        step = max(1, _CHUNK_ELEMENTS // max(1, k * points.shape[1]))
+        for start in range(0, n, step):
+            stop = min(n, start + step)
+            w_block = weights[start:stop, None]
+            grown = stats.weight_sum[None, :] + w_block
+            shifted = centers[None, :, :] + (w_block / grown)[:, :, None] * (
+                points[start:stop, None, :] - centers[None, :, :]
+            )
+            delta[start:stop] -= grown * rowwise(spec, shifted, centers[None, :, :])
 
     delta[rows, labels] = np.inf
     return delta
@@ -185,7 +209,7 @@ def _move_costs_and_bar(
         divs = pairwise(spec, dataset.points, centers)
     loss = float(dataset.weights @ divs[np.arange(dataset.n), labels])
     delta = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
-    return delta, threshold + rounding_floor(loss)
+    return delta, threshold + rounding_floor(loss, origin_loss(dataset, spec))
 
 
 def c_lo_step(
@@ -299,6 +323,7 @@ def pnx_run(dataset: Dataset, config) -> "RunReport":
     repairs = engine.repair_empty_clusters(dataset, labels, stats, centers)
     centers = stats.centers()
     trajectory = [clustering_loss(dataset, labels, centers, config.divergence)]
+    origin = origin_loss(dataset, config.divergence)
 
     moves = 0
     termination = "iteration-cap"
@@ -308,7 +333,7 @@ def pnx_run(dataset: Dataset, config) -> "RunReport":
         # itself), so mask those rows rather than risk emptying a cluster on
         # rounding noise.
         delta[stats.member_count[labels] == 1] = np.inf
-        bar = config.decrease_threshold + rounding_floor(trajectory[-1])
+        bar = config.decrease_threshold + rounding_floor(trajectory[-1], origin)
         improving = np.flatnonzero((delta < -bar).ravel())
         if improving.size == 0:
             termination = "converged"

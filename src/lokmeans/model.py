@@ -11,11 +11,12 @@ updates never depend on the divergence choice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DivergenceSpec, DomainError, domain_contains, rowwise
+from .divergence import QUADRATIC_KINDS, DivergenceSpec, DomainError, domain_contains, rowwise
 
 
 class EmptyClusterError(ValueError):
@@ -138,7 +139,7 @@ def clustering_loss(
     return float(per_point @ dataset.weights)
 
 
-def rounding_floor(loss: float) -> float:
+def rounding_floor(loss: float, origin_loss: float = 0.0) -> float:
     """Smallest loss change that counts as real at the given loss level.
 
     For a move whose gain is near zero, the terms of its closed-form cost,
@@ -148,8 +149,25 @@ def rounding_floor(loss: float) -> float:
     escape steps never apply such a move, and the d-local certificate never
     reports one as a witness. Without the floor, tie-heavy data lets a step
     undo its own zero-gain move forever.
+
+    Centers are stored in absolute coordinates, so on data far from the
+    origin each carries rounding of a few ulps of the coordinates, and a
+    move cost inherits about ``2 w |x - c|`` times that. ``origin_loss``
+    (see ``origin_loss``) bounds the coordinate scale: by Cauchy-Schwarz
+    ``sum w |x - c| |x| <= sqrt(loss * origin_loss)``.
     """
-    return 1e-12 * (1.0 + abs(loss))
+    return 1e-12 * (1.0 + abs(loss) + math.sqrt(abs(loss) * origin_loss))
+
+
+def origin_loss(dataset: Dataset, spec: DivergenceSpec) -> float:
+    """Loss of all points against one center at the origin, for quadratic phi.
+
+    This is the coordinate scale term of ``rounding_floor``. KL and
+    Itakura-Saito are not translation invariant and have no such term: 0.
+    """
+    if spec.kind not in QUADRATIC_KINDS:
+        return 0.0
+    return float(dataset.weights @ rowwise(spec, dataset.points, np.zeros(dataset.dim)))
 
 
 def incremental_center_update(

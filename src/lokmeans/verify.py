@@ -18,7 +18,14 @@ import numpy as np
 
 from .divergence import DivergenceSpec, pairwise, rowwise
 from .localopt import MoveDelta
-from .model import Dataset, EmptyClusterError, check_labels, cluster_stats, rounding_floor
+from .model import (
+    Dataset,
+    EmptyClusterError,
+    check_labels,
+    cluster_stats,
+    origin_loss,
+    rounding_floor,
+)
 
 C_LOCAL = "c-local"
 D_LOCAL = "d-local"
@@ -104,7 +111,7 @@ def certify_d_local(
             if delta < worst:
                 worst = delta
                 worst_move = (point, src, dst)
-    if worst >= -(threshold + rounding_floor(base)):
+    if worst >= -(threshold + rounding_floor(base, origin_loss(dataset, spec))):
         return Certificate(D_LOCAL, None, float(worst), 0)
     point, src, dst = worst_move
     witness = MoveDelta(point, src, dst, float(worst), bool(stats.member_count[src] == 1))

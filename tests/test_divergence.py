@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import ALL_KINDS, random_spd, spec_for
-from lokmeans import DivergenceSpec, DomainError, evaluate
+from lokmeans import DivergenceSpec, DomainError, evaluate, synth_uniform_grid
 from lokmeans.divergence import (
     ITAKURA_SAITO,
     KL,
@@ -154,6 +154,31 @@ def test_pairwise_matches_scalar_evaluate():
                 assert got[n, k] == pytest.approx(
                     evaluate(spec, points[n], centers[k]), rel=1e-12, abs=1e-12
                 )
+
+
+def test_pairwise_kl_treats_zero_coordinates_as_zero_mass():
+    points = np.array([[0.0, 2.0], [3.0, 0.0], [1.5, 0.5]])
+    centers = np.array([[1.0, 1.0], [0.5, 4.0]])
+    spec = DivergenceSpec.kl()
+    want = [[evaluate(spec, p, c) for c in centers] for p in points]
+    np.testing.assert_allclose(pairwise(spec, points, centers), want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e5])
+def test_pairwise_keeps_precision_far_from_origin(offset):
+    # The expansion cancels squared norms down to the divergence. On a grid
+    # far from the origin the norms are offset**2, so only the shift by the
+    # point mean keeps the rounding at the scale of the grid's spread.
+    rng = np.random.default_rng(31)
+    points = synth_uniform_grid(80, 2, 31).points + offset
+    centers = points[:7] + rng.uniform(-0.5, 0.5, size=(7, 2))
+    for spec in (
+        DivergenceSpec.squared_euclidean(),
+        DivergenceSpec.squared_mahalanobis(random_spd(rng, 2)),
+    ):
+        want = np.array([[evaluate(spec, p, c) for c in centers] for p in points])
+        got = pairwise(spec, points, centers)
+        assert np.abs(got - want).max() <= 16 * np.finfo(np.float64).eps * want.max()
 
 
 def test_spd_validation_rejects_asymmetric_matrix():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import ALL_KINDS, random_instance, spec_for
 from lokmeans import (
     Dataset,
     DivergenceSpec,
@@ -99,6 +99,16 @@ def test_kmeanspp_accepts_kl_divergence():
     centers = init_centers(dataset, k, "kmeans++", spec, np.random.default_rng(2))
     rows = {row.tobytes() for row in dataset.points}
     assert all(center.tobytes() in rows for center in centers)
+
+
+def test_kmeanspp_draws_without_replacement_up_to_k_equals_n():
+    rng = np.random.default_rng(24)
+    dataset, _ = random_instance(rng, n_range=(6, 12))
+    for kind in ALL_KINDS:
+        spec = spec_for(kind, rng, dataset.dim)
+        for seed in range(20):
+            centers = init_centers(dataset, dataset.n, "kmeans++", spec, np.random.default_rng(seed))
+            assert np.unique(centers, axis=0).shape[0] == dataset.n, (kind, seed)
 
 
 def test_init_rejects_k_above_n():

@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ALL_KINDS, exact_sqe_loss, random_instance, spec_for
+from conftest import ALL_KINDS, exact_sqe_loss, random_instance, random_spd, spec_for
 from lokmeans import (
     Dataset,
     DivergenceSpec,
     EngineConfig,
     c_lo_step,
+    certify_c_local,
     certify_d_local,
     cluster_stats,
     clustering_loss,
@@ -274,7 +277,7 @@ def test_true_steps_strictly_decrease_loss():
 def test_escapes_refuse_zero_gain_moves_on_tie_heavy_grid():
     # Ten distinct integer points with multiplicities. Without a rounding
     # floor, every escape variant cycled here until the iteration cap on a
-    # move whose rank-one cost rounds to -1.6e-15 in both directions,
+    # move whose rank-one cost rounded to -1.6e-15 in both directions,
     # while d-lo and pnx sat at loss 3.3506 with a move worth -0.97 open.
     dataset = synth_uniform_grid(43, 1, 30)
     for variant in ("d-lo", "min-d-lo", "pnx"):
@@ -285,8 +288,12 @@ def test_escapes_refuse_zero_gain_moves_on_tie_heavy_grid():
         assert certify_d_local(dataset, report.final_labels, 8, SQE).kind == "d-local"
         assert exact_sqe_loss(dataset, report.final_labels) == Fraction(50, 21)
 
+    # A final state where the best move rounds below zero. Which move does
+    # depends on the kernel's rounding, not on the data's structure.
+    dataset = synth_uniform_grid(30, 1, 2)
+    report = run(dataset, EngineConfig(k=6, divergence=SQE, variant="min-d-lo", seed=2))
     labels = report.final_labels.copy()
-    stats, centers = _state(dataset, labels, 8)
+    stats, centers = _state(dataset, labels, 6)
     delta = move_cost_matrix(dataset, labels, stats, centers, SQE)
     point, dst = np.unravel_index(int(np.argmin(delta)), delta.shape)
     # The best move looks improving in floating point, within the floor ...
@@ -298,6 +305,55 @@ def test_escapes_refuse_zero_gain_moves_on_tie_heavy_grid():
     assert not d_lo_step(dataset, labels, stats, centers, SQE)
     assert not min_d_lo_step(dataset, labels, stats, centers, SQE)
     np.testing.assert_array_equal(labels, report.final_labels)
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e5])
+def test_escapes_certify_on_tie_heavy_grids_far_from_origin(offset):
+    # Far from the origin the divergence expansion cancels offset-sized
+    # norms, and every stored center carries rounding of a few ulps of the
+    # offset. Neither may let a zero-gain move through the rounding floor.
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        d = 1 + seed % 2
+        grid = synth_uniform_grid(int(rng.integers(20, 60)), d, seed)
+        dataset = Dataset(grid.points + offset, grid.weights)
+        k = int(rng.integers(2, min(12, dataset.n) + 1))
+        for spec in (SQE, DivergenceSpec.squared_mahalanobis(random_spd(rng, d))):
+            for variant in ("d-lo", "min-d-lo", "pnx"):
+                config = EngineConfig(k=k, divergence=spec, variant=variant, seed=seed)
+                report = run(dataset, config)
+                case = (seed, spec.kind, variant)
+                assert report.termination == "converged", case
+                assert (np.diff(report.loss_trajectory) < 0.0).all(), case
+                cert = certify_d_local(dataset, report.final_labels, k, spec)
+                assert cert.kind == "d-local", case
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(10, 120),
+    d=st.sampled_from((1, 2)),
+    k=st.integers(2, 12),
+    kind=st.sampled_from(ALL_KINDS),
+    init=st.sampled_from(("uniform", "kmeans++")),
+)
+def test_escapes_end_certified_on_tie_heavy_grids(seed, n, d, k, kind, init):
+    # Integer grids with multiplicities are full of exact ties and zero-gain
+    # moves, the stress case for rounding taken as an improvement.
+    dataset = synth_uniform_grid(n, d, seed)
+    k = min(k, dataset.n)
+    spec = spec_for(kind, np.random.default_rng(seed), d)
+    for variant in ("c-lo", "d-lo", "min-d-lo", "pnx"):
+        config = EngineConfig(k=k, divergence=spec, variant=variant, init=init, seed=seed)
+        report = run(dataset, config)
+        assert report.termination == "converged", variant
+        assert (np.diff(report.loss_trajectory) < 0.0).all(), variant
+        if variant == "c-lo":
+            cert = certify_c_local(dataset, report.final_labels, report.final_centers, spec)
+            assert cert.kind == "c-local"
+        else:
+            assert certify_d_local(dataset, report.final_labels, k, spec).kind == "d-local", variant
 
 
 def test_pnx_run_escapes_the_counterexample(counterexample):
