@@ -34,8 +34,8 @@ from .divergence import (
     DivergenceSpec,
     load_mahalanobis_csv,
 )
-from .engine import VARIANTS, EngineConfig, RunReport, init_centers, run
-from .model import Dataset, cluster_stats, optimal_centers
+from .engine import INITS, VARIANTS, EngineConfig, RunReport, init_centers, run
+from .model import Dataset, cluster_stats, clustering_loss
 from .verify import BRUTE_FORCE_LIMIT, brute_force_best, certify_c_local, certify_d_local
 
 DIVERGENCE_FLAGS = {
@@ -121,21 +121,15 @@ def _dataset_from_args(args, spec: DivergenceSpec) -> Dataset:
     return dataset
 
 
-def _config_from_args(
-    args,
-    variant: str | None = None,
-    seed: int | None = None,
-    initial_centers: np.ndarray | None = None,
-) -> EngineConfig:
+def _config_from_args(args, spec: DivergenceSpec) -> EngineConfig:
     return EngineConfig(
         k=args.k,
-        divergence=_divergence_from_args(args),
-        variant=args.variant if variant is None else variant,
+        divergence=spec,
+        variant=getattr(args, "variant", "none"),
         init=args.init,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
         max_iterations=args.max_iters,
         tie_tolerance=args.tie_tol,
-        initial_centers=initial_centers,
     )
 
 
@@ -163,22 +157,16 @@ def _emit_json(payload, args) -> None:
         print(text)
 
 
-def _report_dict(report: RunReport) -> dict:
-    return {
-        "final_labels": report.final_labels,
-        "final_centers": report.final_centers,
-        "final_loss": report.final_loss,
-        "loss_trajectory": report.loss_trajectory,
-        "iterations": report.iterations,
-        "new_step_invocations": report.new_step_invocations,
-        "empty_cluster_repairs": report.empty_cluster_repairs,
-        "wall_time": report.wall_time,
-        "termination": report.termination,
-    }
+def _d_local_certificate(
+    dataset: Dataset, labels: np.ndarray, k: int, spec: DivergenceSpec, threshold: float = 0.0
+) -> dict | None:
+    """The d-local certificate, or None above ``MAX_CERTIFY_ADJACENTS`` candidates."""
+    if dataset.n * (k - 1) > MAX_CERTIFY_ADJACENTS:
+        return None
+    return asdict(certify_d_local(dataset, labels, k, spec, threshold))
 
 
 def _certificates(dataset: Dataset, report: RunReport, config: EngineConfig) -> dict:
-    certs: dict = {}
     c_cert = certify_c_local(
         dataset,
         report.final_labels,
@@ -186,14 +174,13 @@ def _certificates(dataset: Dataset, report: RunReport, config: EngineConfig) -> 
         config.divergence,
         tie_tolerance=config.tie_tolerance,
     )
-    certs["c_local"] = asdict(c_cert)
-    if dataset.n * (config.k - 1) <= MAX_CERTIFY_ADJACENTS:
-        d_cert = certify_d_local(
+    certs = {
+        "c_local": asdict(c_cert),
+        "d_local": _d_local_certificate(
             dataset, report.final_labels, config.k, config.divergence, config.decrease_threshold
-        )
-        certs["d_local"] = asdict(d_cert)
-    else:
-        certs["d_local"] = None
+        ),
+    }
+    if certs["d_local"] is None:
         certs["d_local_note"] = "skipped: instance too large for exhaustive certification"
     return certs
 
@@ -201,7 +188,7 @@ def _certificates(dataset: Dataset, report: RunReport, config: EngineConfig) -> 
 def cmd_run(args) -> int:
     spec = _divergence_from_args(args)
     dataset = _dataset_from_args(args, spec)
-    config = _config_from_args(args)
+    config = _config_from_args(args, spec)
     report = run(dataset, config)
     certs = _certificates(dataset, report, config)
     payload = {
@@ -213,7 +200,7 @@ def cmd_run(args) -> int:
             "init": config.init,
             "seed": config.seed,
         },
-        "report": _report_dict(report),
+        "report": asdict(report),
         "certificates": certs,
     }
     if args.json or args.out:
@@ -372,14 +359,13 @@ def cmd_bench(args) -> int:
     if args.counterexample:
         dataset, fixed_centers = counterexample_instance()
         args.k = 2
-        args.divergence = "sq-euclidean"
-        spec = _divergence_from_args(args)
+        spec = DivergenceSpec.squared_euclidean()
     else:
         if args.k is None:
             raise ValueError("--k is required unless --counterexample is given")
         spec = _divergence_from_args(args)
         dataset = _dataset_from_args(args, spec)
-    base = _config_from_args(args, variant="none")
+    base = _config_from_args(args, spec)
     records, summaries = run_bench(dataset, base, variants, args.replicates, fixed_centers)
 
     if args.json:
@@ -588,9 +574,7 @@ def cmd_verify(args) -> int:
     empty = np.flatnonzero(stats.member_count == 0)
     if empty.size:
         raise ValueError(f"cluster {int(empty[0])} is empty under the given labels")
-    centers = optimal_centers(dataset, labels, k)
-    from .model import clustering_loss
-
+    centers = stats.centers()
     loss = clustering_loss(dataset, labels, centers, spec)
     c_cert = certify_c_local(dataset, labels, centers, spec, tie_tolerance=args.tie_tol)
     payload = {
@@ -598,10 +582,7 @@ def cmd_verify(args) -> int:
         "k": k,
         "c_local": asdict(c_cert),
     }
-    if dataset.n * (k - 1) <= MAX_CERTIFY_ADJACENTS:
-        payload["d_local"] = asdict(certify_d_local(dataset, labels, k, spec))
-    else:
-        payload["d_local"] = None
+    payload["d_local"] = _d_local_certificate(dataset, labels, k, spec)
     if k**dataset.n <= min(args.brute_limit, BRUTE_FORCE_LIMIT):
         _, best = brute_force_best(dataset, k, spec)
         payload["global_loss"] = best
@@ -638,20 +619,21 @@ def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_model_flags(
-    parser: argparse.ArgumentParser, with_variant: bool = True, k_required: bool = True
-) -> None:
-    parser.add_argument("--k", type=int, required=k_required, help="number of clusters")
-    parser.add_argument(
-        "--divergence", choices=sorted(DIVERGENCE_FLAGS), default="sq-euclidean"
-    )
-    parser.add_argument("--mahalanobis-matrix", help="CSV holding the d x d matrix")
-    if with_variant:
-        parser.add_argument("--variant", choices=VARIANTS, default="none")
-    parser.add_argument("--init", choices=("uniform", "kmeans++"), default="uniform")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-iters", type=int, default=10000)
-    parser.add_argument("--tie-tol", type=float, default=1e-9)
+# Model flags shared by several subcommands, each declared once.
+_MODEL_FLAGS = {
+    "--divergence": {"choices": sorted(DIVERGENCE_FLAGS), "default": "sq-euclidean"},
+    "--mahalanobis-matrix": {"help": "CSV holding the d x d matrix"},
+    "--variant": {"choices": VARIANTS, "default": "none"},
+    "--init": {"choices": INITS, "default": "uniform"},
+    "--seed": {"type": int, "default": 0},
+    "--max-iters": {"type": int, "default": 10000},
+    "--tie-tol": {"type": float, "default": 1e-9},
+}
+
+
+def _add_model_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_MODEL_FLAGS[flag])
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -668,7 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = commands.add_parser("run", help="one clustering run with certificates")
     _add_dataset_flags(p_run)
-    _add_model_flags(p_run)
+    p_run.add_argument("--k", type=int, required=True, help="number of clusters")
+    _add_model_flags(p_run, *_MODEL_FLAGS)
     _add_output_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -677,7 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--counterexample", action="store_true", help="use the fixed five-point instance"
     )
-    _add_model_flags(p_bench, with_variant=False, k_required=False)
+    p_bench.add_argument("--k", type=int, help="number of clusters")
+    _add_model_flags(p_bench, *(flag for flag in _MODEL_FLAGS if flag != "--variant"))
     p_bench.add_argument(
         "--variants",
         default="none,c-lo,d-lo,min-d-lo",
@@ -691,24 +675,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
     p_sweep.add_argument("--k-grid", required=True, help="comma-separated cluster counts")
     p_sweep.add_argument("--synth-d", type=int, default=1, help="synthetic dimension")
-    p_sweep.add_argument(
-        "--divergence", choices=sorted(DIVERGENCE_FLAGS), default="sq-euclidean"
-    )
-    p_sweep.add_argument("--mahalanobis-matrix", help="CSV holding the d x d matrix")
-    p_sweep.add_argument("--variant", choices=VARIANTS, default="c-lo")
-    p_sweep.add_argument("--init", choices=("uniform", "kmeans++"), default="uniform")
-    p_sweep.add_argument("--seed", type=int, default=0)
+    _add_model_flags(p_sweep, *_MODEL_FLAGS)
     p_sweep.add_argument("--replicates", type=int, default=100)
-    p_sweep.add_argument("--max-iters", type=int, default=10000)
-    p_sweep.add_argument("--tie-tol", type=float, default=1e-9)
     _add_output_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    # A sweep compares an escape variant against plain K-means.
+    p_sweep.set_defaults(func=cmd_sweep, variant="c-lo")
 
     p_counter = commands.add_parser(
         "counterexample", help="all variants on the fixed five-point instance"
     )
-    p_counter.add_argument("--max-iters", type=int, default=10000)
-    p_counter.add_argument("--tie-tol", type=float, default=1e-9)
+    _add_model_flags(p_counter, "--max-iters", "--tie-tol")
     _add_output_flags(p_counter)
     p_counter.set_defaults(func=cmd_counterexample)
 
@@ -716,12 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(p_verify)
     p_verify.add_argument("--labels", required=True, help="file with one label per line")
     p_verify.add_argument("--k", type=int, default=None, help="cluster count (default: max label + 1)")
-    p_verify.add_argument(
-        "--divergence", choices=sorted(DIVERGENCE_FLAGS), default="sq-euclidean"
-    )
-    p_verify.add_argument("--mahalanobis-matrix", help="CSV holding the d x d matrix")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tie-tol", type=float, default=1e-9)
+    _add_model_flags(p_verify, "--divergence", "--mahalanobis-matrix", "--seed", "--tie-tol")
     p_verify.add_argument(
         "--brute-limit",
         type=int,

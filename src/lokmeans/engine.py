@@ -7,7 +7,8 @@ invoke an escape step at the fixed point:
 * c-lo      break one cross-cluster nearest-center tie
 * d-lo      first single-point move that strictly lowers the loss
 * min-d-lo  best single-point move
-* pnx       no sweeps at all; single adjacent moves only (see localopt)
+* pnx       d-lo without sweeps: after the first assignment, single-point
+            moves only (Hartigan's method)
 
 Every run is a deterministic function of (dataset, config).
 """
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import localopt
 from .divergence import DivergenceSpec, DomainError, domain_contains, pairwise, rowwise
 from .model import Dataset, ClusterStats, cluster_stats, clustering_loss
 
@@ -63,9 +65,10 @@ class EngineConfig:
 class RunReport:
     """Everything observable about one run.
 
-    ``new_step_invocations`` counts escape steps that changed the
-    assignment; the final invocation that certifies nothing improves is
-    not counted.
+    ``iterations`` counts passes of the outer loop for every variant,
+    including the final pass that certifies nothing improves (a converged
+    ``pnx`` run takes its moves + 2); ``max_iterations`` caps it.
+    ``new_step_invocations`` counts escape steps that changed the assignment.
     """
 
     final_labels: np.ndarray
@@ -200,17 +203,12 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
 
     Outer loop per iteration: assignment sweep, empty-cluster repair,
     weighted-mean center update. When the assignment stops changing the
-    configured escape step runs; the loop ends when it finds nothing (or
-    immediately for variant "none"). The loss trajectory records one value
-    per iteration and is strictly decreasing: an iteration that changes
-    nothing terminates the run instead of logging a repeat entry.
+    variant's escape step runs; the loop ends when it finds nothing (or
+    immediately for variant "none"). "pnx" sweeps in the first iteration
+    only and then just recomputes the centers before each step. The loss
+    trajectory records one value per iteration and is strictly decreasing:
+    an iteration that changes nothing ends the run instead.
     """
-    if config.variant == "pnx":
-        from .localopt import pnx_run
-
-        return pnx_run(dataset, config)
-    from . import localopt
-
     validate_run_inputs(dataset, config)
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -220,6 +218,16 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
         centers = init_centers(dataset, config.k, config.init, config.divergence, rng)
 
     spec = config.divergence
+    # Built per run from localopt's attributes, so that a wrapper set there
+    # (the traced benchmark sets one) sees every step.
+    step, tolerance = {
+        "none": (None, None),
+        "c-lo": (localopt.c_lo_step, config.tie_tolerance),
+        "d-lo": (localopt.d_lo_step, config.decrease_threshold),
+        "min-d-lo": (localopt.min_d_lo_step, config.decrease_threshold),
+        "pnx": (localopt.d_lo_step, config.decrease_threshold),
+    }[config.variant]
+    sweeps = config.variant != "pnx"
     labels: np.ndarray | None = None
     trajectory: list[float] = []
     iterations = 0
@@ -229,36 +237,26 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
 
     while iterations < config.max_iterations:
         iterations += 1
-        fresh, divs = _assign_with_divergences(dataset, centers, spec, config.tie_tolerance)
-        stats = cluster_stats(dataset, fresh, config.k)
-        repaired = repair_empty_clusters(dataset, fresh, stats, centers)
-        repairs += repaired
-        centers = stats.centers()
-
-        if labels is not None and repaired == 0 and np.array_equal(fresh, labels):
-            # Fixed point of the sweep; centers (and the cached divergence
-            # matrix) are unchanged from the previous iteration.
-            if config.variant == "none":
+        if labels is None or sweeps:
+            fresh, divs = _assign_with_divergences(dataset, centers, spec, config.tie_tolerance)
+            stats = cluster_stats(dataset, fresh, config.k)
+            repaired = repair_empty_clusters(dataset, fresh, stats, centers)
+            repairs += repaired
+            # At a fixed point of the sweep the centers (and the cached
+            # divergence matrix) are unchanged from the previous iteration.
+            fixed = labels is not None and repaired == 0 and np.array_equal(fresh, labels)
+            labels = fresh
+            centers = stats.centers()
+        else:
+            # No sweep: refresh centers and divergences from the moved stats.
+            fixed = True
+            centers = stats.centers()
+            divs = pairwise(spec, dataset.points, centers)
+        if fixed:
+            if step is None or not step(dataset, labels, stats, centers, spec, tolerance, divs):
                 termination = TERMINATION_CONVERGED
-                break
-            if config.variant == "c-lo":
-                changed = localopt.c_lo_step(
-                    dataset, fresh, stats, centers, spec, config.tie_tolerance, divs
-                )
-            elif config.variant == "d-lo":
-                changed = localopt.d_lo_step(
-                    dataset, fresh, stats, centers, spec, config.decrease_threshold, divs
-                )
-            else:
-                changed = localopt.min_d_lo_step(
-                    dataset, fresh, stats, centers, spec, config.decrease_threshold, divs
-                )
-            if not changed:
-                termination = TERMINATION_CONVERGED
-                labels = fresh
                 break
             invocations += 1
-        labels = fresh
         trajectory.append(clustering_loss(dataset, labels, centers, spec))
 
     return RunReport(

@@ -23,11 +23,16 @@ with W the cluster weights; a singleton source contributes -w D(x_g, c_a).
 ``move_cost_matrix`` reads it off the cached (N, K) divergence matrix, so
 these kinds need no (N, K, d) scratch. KL and Itakura-Saito keep the
 rank-one form, and ``delta_move`` evaluates the general form for one move.
+
+The escape steps ``d_lo_step`` and ``min_d_lo_step`` apply a move with
+``incremental_center_update`` and never empty a cluster: a singleton's
+point sits on its optimal center, so moving it out cannot lower the loss.
+Variant "pnx" is ``d_lo_step`` run by ``engine.run`` without sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,8 +40,6 @@ from .divergence import QUADRATIC_KINDS, DivergenceSpec, pairwise, rowwise
 from .model import (
     ClusterStats,
     Dataset,
-    clustering_loss,
-    cluster_stats,
     incremental_center_update,
     origin_loss,
     rounding_floor,
@@ -168,29 +171,6 @@ def move_cost_matrix(
     return delta
 
 
-def _apply_hard_move(
-    dataset: Dataset,
-    labels: np.ndarray,
-    stats: ClusterStats,
-    centers: np.ndarray,
-    point: int,
-    dst: int,
-) -> None:
-    """Reassign one point; rank-one center updates, destination always.
-
-    A singleton source is left empty with its stored center untouched; the
-    caller's outer loop repairs empty clusters before the next assignment.
-    """
-    src = int(labels[point])
-    x = dataset.points[point]
-    w = dataset.weights[point]
-    centers[dst] += w * (x - centers[dst]) / (stats.weight_sum[dst] + w)
-    if stats.member_count[src] > 1:
-        centers[src] -= w * (x - centers[src]) / (stats.weight_sum[src] - w)
-    stats.move(dataset, point, src, dst)
-    labels[point] = dst
-
-
 def _move_costs_and_bar(
     dataset: Dataset,
     labels: np.ndarray,
@@ -203,12 +183,16 @@ def _move_costs_and_bar(
     """Move-cost matrix and the gain a move must beat to be applied.
 
     The bar is ``threshold`` plus the rounding floor of the current loss,
-    read off the divergence matrix the costs are built from.
+    read off the divergence matrix the costs are built from. Rows of
+    singleton clusters are +inf: emptying a cluster never lowers the loss
+    (its optimal center is the point itself), so such a move could only be
+    taken on rounding noise.
     """
     if divs is None:
         divs = pairwise(spec, dataset.points, centers)
     loss = float(dataset.weights @ divs[np.arange(dataset.n), labels])
     delta = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
+    delta[stats.member_count[labels] == 1] = np.inf
     return delta, threshold + rounding_floor(loss, origin_loss(dataset, spec))
 
 
@@ -270,7 +254,8 @@ def d_lo_step(
     if improving.size == 0:
         return False
     point, dst = divmod(int(improving[0]), delta.shape[1])
-    _apply_hard_move(dataset, labels, stats, centers, point, dst)
+    incremental_center_update(stats, centers, point, int(labels[point]), dst, dataset)
+    labels[point] = dst
     return True
 
 
@@ -293,66 +278,13 @@ def min_d_lo_step(
     if not delta.ravel()[flat] < -bar:
         return False
     point, dst = divmod(flat, delta.shape[1])
-    _apply_hard_move(dataset, labels, stats, centers, point, dst)
+    incremental_center_update(stats, centers, point, int(labels[point]), dst, dataset)
+    labels[point] = dst
     return True
 
 
 def pnx_run(dataset: Dataset, config) -> "RunReport":
-    """Local search by single adjacent moves only, without reassignment sweeps.
+    """``engine.run`` with variant "pnx": ``d_lo_step`` without reassignment sweeps."""
+    from .engine import run  # deferred: engine imports this module
 
-    Starts from sampled centers and one assignment pass, then repeatedly
-    recomputes optimal centers and applies the first adjacent move that
-    lowers the loss by more than ``decrease_threshold`` plus the rounding
-    floor of the current loss, until no move does. Slower than the
-    sweep-based variants but terminates at the same notion of local
-    optimality. ``iterations`` counts applied moves.
-    """
-    from time import perf_counter
-
-    from . import engine  # deferred: engine imports this module
-
-    engine.validate_run_inputs(dataset, config)
-    start = perf_counter()
-    rng = np.random.default_rng(config.seed)
-    if config.initial_centers is not None:
-        centers = np.array(config.initial_centers, dtype=np.float64)
-    else:
-        centers = engine.init_centers(dataset, config.k, config.init, config.divergence, rng)
-    labels = engine.assign_step(dataset, centers, config.divergence, config.tie_tolerance)
-    stats = cluster_stats(dataset, labels, config.k)
-    repairs = engine.repair_empty_clusters(dataset, labels, stats, centers)
-    centers = stats.centers()
-    trajectory = [clustering_loss(dataset, labels, centers, config.divergence)]
-    origin = origin_loss(dataset, config.divergence)
-
-    moves = 0
-    termination = "iteration-cap"
-    while moves < config.max_iterations:
-        delta = move_cost_matrix(dataset, labels, stats, centers, config.divergence)
-        # A singleton source cannot improve (its optimal center is the point
-        # itself), so mask those rows rather than risk emptying a cluster on
-        # rounding noise.
-        delta[stats.member_count[labels] == 1] = np.inf
-        bar = config.decrease_threshold + rounding_floor(trajectory[-1], origin)
-        improving = np.flatnonzero((delta < -bar).ravel())
-        if improving.size == 0:
-            termination = "converged"
-            break
-        point, dst = divmod(int(improving[0]), config.k)
-        stats.move(dataset, point, int(labels[point]), dst)
-        labels[point] = dst
-        centers = stats.centers()
-        trajectory.append(clustering_loss(dataset, labels, centers, config.divergence))
-        moves += 1
-
-    return engine.RunReport(
-        final_labels=labels,
-        final_centers=centers,
-        final_loss=trajectory[-1],
-        loss_trajectory=np.asarray(trajectory),
-        iterations=moves,
-        new_step_invocations=moves,
-        empty_cluster_repairs=repairs,
-        wall_time=perf_counter() - start,
-        termination=termination,
-    )
+    return run(dataset, replace(config, variant="pnx"))

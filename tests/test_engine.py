@@ -157,7 +157,7 @@ def test_run_counterexample_baseline(counterexample):
     assert report.wall_time >= 0.0
 
 
-@pytest.mark.parametrize("variant", ["c-lo", "d-lo", "min-d-lo"])
+@pytest.mark.parametrize("variant", ["c-lo", "d-lo", "min-d-lo", "pnx"])
 def test_run_counterexample_escape(variant, counterexample):
     dataset, initial = counterexample
     config = EngineConfig(k=2, divergence=SQE, variant=variant, initial_centers=initial)
@@ -232,10 +232,11 @@ def test_variants_share_initialization_per_seed():
     assert base.loss_trajectory[0] == esc.loss_trajectory[0]
 
 
-def test_run_iteration_cap(counterexample):
+@pytest.mark.parametrize("variant", ["none", "c-lo", "d-lo", "min-d-lo", "pnx"])
+def test_run_iteration_cap(variant, counterexample):
     dataset, initial = counterexample
     config = EngineConfig(
-        k=2, divergence=SQE, variant="none", initial_centers=initial, max_iterations=1
+        k=2, divergence=SQE, variant=variant, initial_centers=initial, max_iterations=1
     )
     report = run(dataset, config)
     assert report.termination == "iteration-cap"
