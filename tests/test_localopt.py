@@ -356,6 +356,19 @@ def test_escapes_end_certified_on_tie_heavy_grids(seed, n, d, k, kind, init):
             assert certify_d_local(dataset, report.final_labels, k, spec).kind == "d-local", variant
 
 
+def test_pnx_run_escapes_the_counterexample(counterexample):
+    dataset, initial = counterexample
+    config = EngineConfig(k=2, divergence=SQE, variant="pnx", initial_centers=initial)
+    report = pnx_run(dataset, config)
+    assert report.termination == "converged"
+    assert report.final_loss == pytest.approx(31.0 / 6.0, abs=1e-9)
+    # One move plus the first sweep and the final certifying pass.
+    assert report.iterations == 3
+    assert report.new_step_invocations == 1
+    np.testing.assert_array_equal(report.final_labels, ESCAPED_LABELS)
+    np.testing.assert_allclose(report.loss_trajectory, [8.5, 31.0 / 6.0], atol=1e-9)
+
+
 def test_pnx_run_stops_immediately_when_already_optimal(counterexample):
     dataset, _ = counterexample
     start = np.array([[-3.0], [4.0 / 3.0]])
@@ -364,4 +377,11 @@ def test_pnx_run_stops_immediately_when_already_optimal(counterexample):
     assert report.iterations == 2
     assert report.new_step_invocations == 0
     assert report.termination == "converged"
+    assert report.final_loss == pytest.approx(31.0 / 6.0, abs=1e-9)
+
+
+def test_pnx_dispatched_by_run(counterexample):
+    dataset, initial = counterexample
+    config = EngineConfig(k=2, divergence=SQE, variant="pnx", initial_centers=initial)
+    report = run(dataset, config)
     assert report.final_loss == pytest.approx(31.0 / 6.0, abs=1e-9)
