@@ -121,9 +121,9 @@ def _dataset_from_args(args, spec: DivergenceSpec) -> Dataset:
     return dataset
 
 
-def _config_from_args(args, spec: DivergenceSpec) -> EngineConfig:
+def _config_from_args(args, spec: DivergenceSpec, k: int | None = None) -> EngineConfig:
     return EngineConfig(
-        k=args.k,
+        k=args.k if k is None else k,
         divergence=spec,
         variant=getattr(args, "variant", "none"),
         init=args.init,
@@ -144,12 +144,12 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, (np.floating, float)):
         number = float(value)
-        return None if math.isnan(number) else number
+        return number if math.isfinite(number) else None
     return value
 
 
 def _emit_json(payload, args) -> None:
-    text = json.dumps(_jsonable(payload), indent=2)
+    text = json.dumps(_jsonable(payload), indent=2, allow_nan=False)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -158,12 +158,12 @@ def _emit_json(payload, args) -> None:
 
 
 def _d_local_certificate(
-    dataset: Dataset, labels: np.ndarray, k: int, spec: DivergenceSpec, threshold: float = 0.0
+    dataset: Dataset, labels: np.ndarray, k: int, spec: DivergenceSpec
 ) -> dict | None:
     """The d-local certificate, or None above ``MAX_CERTIFY_ADJACENTS`` candidates."""
     if dataset.n * (k - 1) > MAX_CERTIFY_ADJACENTS:
         return None
-    return asdict(certify_d_local(dataset, labels, k, spec, threshold))
+    return asdict(certify_d_local(dataset, labels, k, spec))
 
 
 def _certificates(dataset: Dataset, report: RunReport, config: EngineConfig) -> dict:
@@ -176,9 +176,7 @@ def _certificates(dataset: Dataset, report: RunReport, config: EngineConfig) -> 
     )
     certs = {
         "c_local": asdict(c_cert),
-        "d_local": _d_local_certificate(
-            dataset, report.final_labels, config.k, config.divergence, config.decrease_threshold
-        ),
+        "d_local": _d_local_certificate(dataset, report.final_labels, config.k, config.divergence),
     }
     if certs["d_local"] is None:
         certs["d_local_note"] = "skipped: instance too large for exhaustive certification"
@@ -232,6 +230,14 @@ class BenchRecord:
     termination: str
 
 
+# How an escape variant compares with plain K-means run from the same centers.
+IMPROVEMENT_METRICS = [
+    "improvement_proportion",
+    "improvement_ratio_mean",
+    "iteration_increase_ratio_mean",
+    "new_step_invocations_mean",
+]
+
 BENCH_COLUMNS = [
     "variant",
     "init",
@@ -242,11 +248,37 @@ BENCH_COLUMNS = [
     "loss_min",
     "time_mean_seconds",
     "iterations_mean",
-    "improvement_proportion",
-    "improvement_ratio_mean",
-    "iteration_increase_ratio_mean",
-    "new_step_invocations_mean",
+    *IMPROVEMENT_METRICS,
 ]
+
+
+def _check_replicates(replicates: int) -> None:
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
+
+
+def _improvement_metrics(
+    plain_losses, plain_iterations, losses, iterations, invocations
+) -> dict[str, float]:
+    """The ``IMPROVEMENT_METRICS`` of paired escape and plain runs.
+
+    Each argument is a float array with one value per pair. The proportion
+    counts pairs in which the escape variant ends strictly lower; the three
+    means average over those improved pairs only. A metric with no pair to
+    average is NaN.
+    """
+    improved = losses < plain_losses
+    metrics = dict.fromkeys(IMPROVEMENT_METRICS, float("nan"))
+    if improved.size:
+        metrics["improvement_proportion"] = float(improved.mean())
+    if improved.any():
+        base, base_iters = plain_losses[improved], plain_iterations[improved]
+        metrics["improvement_ratio_mean"] = float(((base - losses[improved]) / base).mean())
+        metrics["iteration_increase_ratio_mean"] = float(
+            ((iterations[improved] - base_iters) / base_iters).mean()
+        )
+        metrics["new_step_invocations_mean"] = float(invocations[improved].mean())
+    return metrics
 
 
 def _summarize_bench(
@@ -264,7 +296,6 @@ def _summarize_bench(
         losses = np.array([r.loss for r in rows])
         iters = np.array([r.iterations for r in rows], dtype=np.float64)
         invocations = np.array([r.new_step_invocations for r in rows], dtype=np.float64)
-        improved = losses < baseline
         summary = {
             "variant": variant,
             "init": init,
@@ -275,23 +306,11 @@ def _summarize_bench(
             "loss_min": float(losses.min()),
             "time_mean_seconds": float(np.mean([r.wall_time for r in rows])),
             "iterations_mean": float(iters.mean()),
-            "improvement_proportion": float(improved.mean()),
+            **_improvement_metrics(baseline, baseline_iters, losses, iters, invocations),
         }
         if variant == "none":
             # Self-comparison: every difference is exactly zero.
-            summary["improvement_ratio_mean"] = 0.0
-            summary["iteration_increase_ratio_mean"] = 0.0
-            summary["new_step_invocations_mean"] = 0.0
-        elif improved.any():
-            ratio = (baseline[improved] - losses[improved]) / baseline[improved]
-            growth = (iters[improved] - baseline_iters[improved]) / baseline_iters[improved]
-            summary["improvement_ratio_mean"] = float(ratio.mean())
-            summary["iteration_increase_ratio_mean"] = float(growth.mean())
-            summary["new_step_invocations_mean"] = float(invocations[improved].mean())
-        else:
-            summary["improvement_ratio_mean"] = float("nan")
-            summary["iteration_increase_ratio_mean"] = float("nan")
-            summary["new_step_invocations_mean"] = float("nan")
+            summary.update(dict.fromkeys(IMPROVEMENT_METRICS, 0.0))
         summaries.append(summary)
     return summaries
 
@@ -304,6 +323,7 @@ def run_bench(
     fixed_centers: np.ndarray | None = None,
 ) -> tuple[list[BenchRecord], list[dict]]:
     """Run every variant against shared per-replicate initial centers."""
+    _check_replicates(replicates)
     if "none" not in variants:
         variants = ["none"] + variants
 
@@ -384,33 +404,27 @@ def cmd_bench(args) -> int:
     return 0
 
 
-SWEEP_METRICS = [
-    "improvement_proportion",
-    "improvement_ratio_mean",
-    "iteration_increase_ratio_mean",
-    "new_step_invocations_mean",
-]
+SWEEP_METRICS = IMPROVEMENT_METRICS
 
 
 def run_sweep(
+    base_config: EngineConfig,
     n_grid: list[int],
     k_grid: list[int],
     d: int,
     replicates: int,
-    variant: str,
-    init: str,
-    spec: DivergenceSpec,
-    seed: int,
-    max_iterations: int = 10000,
-    tie_tolerance: float = 1e-9,
 ) -> dict[str, np.ndarray]:
     """Per-(n, k) improvement matrices for one variant against plain K-means.
 
-    Each replicate draws a fresh synthetic dataset; both runs share its
-    initial centers. Cells whose sampled datasets cannot host k clusters
-    (fewer distinct points than k) drop those replicates; a cell with no
-    usable replicate, or no improved run for the ratio metrics, is NaN.
+    ``base_config`` names the escape variant and carries the divergence,
+    init, iteration cap and tie tolerance; its seed is the master of every
+    derived seed, and each cell sets its own k. Each replicate draws a fresh
+    synthetic dataset; both runs share its initial centers. Cells whose
+    sampled datasets cannot host k clusters (fewer distinct points than k)
+    drop those replicates; a cell with no usable replicate, or no improved
+    run for the ratio metrics, is NaN.
     """
+    _check_replicates(replicates)
     matrices = {
         metric: np.full((len(n_grid), len(k_grid)), np.nan) for metric in SWEEP_METRICS
     }
@@ -418,41 +432,28 @@ def run_sweep(
     def one_cell(cell: tuple[int, int]) -> tuple[int, int, dict[str, float]]:
         row, col = cell
         n, k = n_grid[row], k_grid[col]
-        diffs, ratios, growths, invocations = [], [], [], []
+        pairs = []  # (plain loss, plain iterations, loss, iterations, invocations)
         for rep in range(replicates):
-            data_seed = _derived_seed(seed, 2, row, col, rep, 0)
-            run_seed = _derived_seed(seed, 2, row, col, rep, 1)
+            data_seed = _derived_seed(base_config.seed, 2, row, col, rep, 0)
+            run_seed = _derived_seed(base_config.seed, 2, row, col, rep, 1)
             dataset = synth_uniform_grid(n, d, data_seed)
             if k > dataset.n:
                 continue
             rng = np.random.default_rng(run_seed)
-            centers = init_centers(dataset, k, init, spec, rng)
-            base = EngineConfig(
-                k=k,
-                divergence=spec,
-                variant="none",
-                init=init,
-                seed=run_seed,
-                max_iterations=max_iterations,
-                tie_tolerance=tie_tolerance,
-                initial_centers=centers.copy(),
+            centers = init_centers(dataset, k, base_config.init, base_config.divergence, rng)
+            config = replace(base_config, k=k, seed=run_seed)
+            plain = run(dataset, replace(config, variant="none", initial_centers=centers.copy()))
+            tuned = run(dataset, replace(config, initial_centers=centers.copy()))
+            pairs.append(
+                (
+                    plain.final_loss,
+                    plain.iterations,
+                    tuned.final_loss,
+                    tuned.iterations,
+                    tuned.new_step_invocations,
+                )
             )
-            plain = run(dataset, base)
-            tuned = run(dataset, replace(base, initial_centers=centers.copy(), variant=variant))
-            improved = tuned.final_loss < plain.final_loss
-            diffs.append(improved)
-            if improved:
-                ratios.append((plain.final_loss - tuned.final_loss) / plain.final_loss)
-                growths.append((tuned.iterations - plain.iterations) / plain.iterations)
-                invocations.append(tuned.new_step_invocations)
-        cell_values = {metric: float("nan") for metric in SWEEP_METRICS}
-        if diffs:
-            cell_values["improvement_proportion"] = float(np.mean(diffs))
-        if ratios:
-            cell_values["improvement_ratio_mean"] = float(np.mean(ratios))
-            cell_values["iteration_increase_ratio_mean"] = float(np.mean(growths))
-            cell_values["new_step_invocations_mean"] = float(np.mean(invocations))
-        return row, col, cell_values
+        return row, col, _improvement_metrics(*np.array(pairs, dtype=np.float64).reshape(-1, 5).T)
 
     cells = [(row, col) for row in range(len(n_grid)) for col in range(len(k_grid))]
     for row, col, values in _map_jobs(one_cell, cells):
@@ -466,19 +467,9 @@ def cmd_sweep(args) -> int:
         raise ValueError("--variant must name an escape variant to compare against plain K-means")
     n_grid = _parse_grid(args.n_grid, "--n-grid")
     k_grid = _parse_grid(args.k_grid, "--k-grid")
-    spec = _divergence_from_args(args)
-    matrices = run_sweep(
-        n_grid,
-        k_grid,
-        args.synth_d,
-        args.replicates,
-        args.variant,
-        args.init,
-        spec,
-        args.seed,
-        max_iterations=args.max_iters,
-        tie_tolerance=args.tie_tol,
-    )
+    # The base's k is a placeholder: each cell sets its own.
+    base = _config_from_args(args, _divergence_from_args(args), k=k_grid[0])
+    matrices = run_sweep(base, n_grid, k_grid, args.synth_d, args.replicates)
     if args.json:
         payload = {metric: matrices[metric] for metric in SWEEP_METRICS}
         payload["n_grid"] = n_grid
@@ -504,19 +495,12 @@ def cmd_sweep(args) -> int:
 def run_counterexample(args=None) -> dict:
     """All variants on the fixed five-point instance with its fixed centers."""
     dataset, initial = counterexample_instance()
-    max_iters = getattr(args, "max_iters", 10000) if args else 10000
-    tie_tol = getattr(args, "tie_tol", 1e-9) if args else 1e-9
+    base = EngineConfig(k=2, divergence=DivergenceSpec.squared_euclidean())
+    if args is not None:
+        base = replace(base, max_iterations=args.max_iters, tie_tolerance=args.tie_tol)
     results = {}
     for variant in VARIANTS:
-        config = EngineConfig(
-            k=2,
-            divergence=DivergenceSpec.squared_euclidean(),
-            variant=variant,
-            seed=0,
-            max_iterations=max_iters,
-            tie_tolerance=tie_tol,
-            initial_centers=initial.copy(),
-        )
+        config = replace(base, variant=variant, initial_centers=initial.copy())
         report = run(dataset, config)
         results[variant] = {
             "report": report,

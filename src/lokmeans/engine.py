@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import localopt
 from .divergence import DivergenceSpec, DomainError, domain_contains, pairwise, rowwise
-from .model import Dataset, ClusterStats, cluster_stats, clustering_loss
+from .model import Dataset, ClusterStats, cluster_stats, clustering_loss, within_tie_band
 
 VARIANTS = ("none", "c-lo", "d-lo", "min-d-lo", "pnx")
 INITS = ("uniform", "kmeans++")
@@ -40,7 +41,6 @@ class EngineConfig:
     seed: int = 0
     max_iterations: int = 10000
     tie_tolerance: float = 1e-9
-    decrease_threshold: float = 0.0
     initial_centers: np.ndarray | None = None  # overrides sampled seeding
 
     def __post_init__(self) -> None:
@@ -52,7 +52,7 @@ class EngineConfig:
             raise ValueError(f"unknown init {self.init!r}; expected one of {INITS}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.tie_tolerance < 0.0 or self.decrease_threshold < 0.0:
+        if self.tie_tolerance < 0.0:
             raise ValueError("tolerances must be non-negative")
         if self.initial_centers is not None:
             centers = np.asarray(self.initial_centers, dtype=np.float64)
@@ -100,6 +100,17 @@ def validate_run_inputs(dataset: Dataset, config: EngineConfig) -> None:
             f"Mahalanobis matrix is {config.divergence.matrix.shape[0]}-dimensional,"
             f" dataset is {dataset.dim}-dimensional"
         )
+    centers = config.initial_centers
+    if centers is not None and centers.shape[1] != dataset.dim:
+        raise ValueError(
+            f"initial_centers are {centers.shape[1]}-dimensional,"
+            f" dataset is {dataset.dim}-dimensional"
+        )
+    if centers is not None and not domain_contains(
+        config.divergence, centers, require_interior=True
+    ):
+        kind = config.divergence.kind
+        raise DomainError(f"initial_centers are not finite points inside dom({kind})")
 
 
 def init_centers(
@@ -157,9 +168,7 @@ def _assign_with_divergences(
     undefined = ~np.isfinite(centers).all(axis=1)
     if undefined.any():
         divs[:, undefined] = np.inf
-    dmin = divs.min(axis=1)
-    band = dmin + tie_tolerance * (1.0 + np.abs(dmin))
-    labels = np.argmax(divs <= band[:, None], axis=1).astype(np.int64)
+    labels = np.argmax(within_tie_band(divs, tie_tolerance), axis=1).astype(np.int64)
     return labels, divs
 
 
@@ -220,12 +229,12 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
     spec = config.divergence
     # Built per run from localopt's attributes, so that a wrapper set there
     # (the traced benchmark sets one) sees every step.
-    step, tolerance = {
-        "none": (None, None),
-        "c-lo": (localopt.c_lo_step, config.tie_tolerance),
-        "d-lo": (localopt.d_lo_step, config.decrease_threshold),
-        "min-d-lo": (localopt.min_d_lo_step, config.decrease_threshold),
-        "pnx": (localopt.d_lo_step, config.decrease_threshold),
+    step = {
+        "none": None,
+        "c-lo": partial(localopt.c_lo_step, tie_tolerance=config.tie_tolerance),
+        "d-lo": localopt.d_lo_step,
+        "min-d-lo": localopt.min_d_lo_step,
+        "pnx": localopt.d_lo_step,
     }[config.variant]
     sweeps = config.variant != "pnx"
     labels: np.ndarray | None = None
@@ -253,7 +262,7 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
             centers = stats.centers()
             divs = pairwise(spec, dataset.points, centers)
         if fixed:
-            if step is None or not step(dataset, labels, stats, centers, spec, tolerance, divs):
+            if step is None or not step(dataset, labels, stats, centers, spec, divs=divs):
                 termination = TERMINATION_CONVERGED
                 break
             invocations += 1

@@ -9,9 +9,11 @@ form
             - (s_b + alpha w_g) D(c_b', c_b)
 
 where c_a', c_b' are the post-move weighted means, obtained in O(d) by
-rank-one updates. The source term is zero when the move empties cluster
-``a``. Evaluating this instead of recomputing the full loss is what makes
-the local-optimality steps cheap.
+``model.rank_one_shift``. Each center term is ``shift_cost``, the one
+definition of (W + s) D(c', c) for a cluster of weight W that gains signed
+weight s. The source term is zero when the move empties cluster ``a``.
+Evaluating this instead of recomputing the full loss is what makes the
+local-optimality steps cheap.
 
 For quadratic phi (squared Euclidean and Mahalanobis) both center shifts
 are multiples of D(x_g, c), and the hard move (alpha = 1) reduces to
@@ -22,7 +24,7 @@ Hartigan's form (Telgarsky & Vattani, *Hartigan's Method*, AISTATS 2010)
 with W the cluster weights; a singleton source contributes -w D(x_g, c_a).
 ``move_cost_matrix`` reads it off the cached (N, K) divergence matrix, so
 these kinds need no (N, K, d) scratch. KL and Itakura-Saito keep the
-rank-one form, and ``delta_move`` evaluates the general form for one move.
+rank-one form; ``delta_move``, the scalar reference, evaluates it for one.
 
 The escape steps ``d_lo_step`` and ``min_d_lo_step`` apply a move with
 ``incremental_center_update`` and never empty a cluster: a singleton's
@@ -42,7 +44,9 @@ from .model import (
     Dataset,
     incremental_center_update,
     origin_loss,
+    rank_one_shift,
     rounding_floor,
+    within_tie_band,
 )
 
 # Row-chunk bound on the (rows, K, d) scratch tensor of move_cost_matrix's
@@ -59,6 +63,13 @@ class MoveDelta:
     to_cluster: int
     delta: float
     source_empties: bool
+
+
+def shift_cost(spec: DivergenceSpec, center, x, weight_sum, s):
+    """``(W + s) D(c', c)`` with ``c' = rank_one_shift(c, x, W, s)``: how much
+    the loss of a cluster that signed weight ``s`` at ``x`` joined falls when
+    its center moves from ``c`` to its new mean ``c'``."""
+    return (weight_sum + s) * rowwise(spec, rank_one_shift(center, x, weight_sum, s), center)
 
 
 def delta_move(
@@ -90,17 +101,9 @@ def delta_move(
 
     source_empties = bool(alpha == 1.0 and stats.member_count[src] == 1)
     if not source_empties and moved > 0.0:
-        remaining = stats.weight_sum[src] - moved
-        if remaining <= 0.0:
-            raise ArithmeticError(
-                f"cluster {src} weight {stats.weight_sum[src]} inconsistent with move of {moved}"
-            )
-        src_new = centers[src] - moved * (x - centers[src]) / remaining
-        delta -= remaining * rowwise(spec, src_new, centers[src])
+        delta -= shift_cost(spec, centers[src], x, stats.weight_sum[src], -moved)
     if moved > 0.0:
-        grown = stats.weight_sum[dst] + moved
-        dst_new = centers[dst] + moved * (x - centers[dst]) / grown
-        delta -= grown * rowwise(spec, dst_new, centers[dst])
+        delta -= shift_cost(spec, centers[dst], x, stats.weight_sum[dst], moved)
     return MoveDelta(int(point), int(src), int(dst), float(delta), source_empties)
 
 
@@ -147,25 +150,25 @@ def move_cost_matrix(
         # Source term: depends on the point only. Singleton sources
         # contribute zero and their rank-one formula is skipped entirely,
         # since its intermediate value could leave the divergence domain.
-        src_centers = centers[labels]
         src_term = np.zeros(n, dtype=np.float64)
         if multi.any():
             idx = np.flatnonzero(multi)
-            shifted = src_centers[idx] - (
-                (weights[idx] / remaining[idx])[:, None] * (points[idx] - src_centers[idx])
+            src = labels[idx]
+            src_term[idx] = shift_cost(
+                spec, centers[src], points[idx], stats.weight_sum[src], -weights[idx]
             )
-            src_term[idx] = remaining[idx] * rowwise(spec, shifted, src_centers[idx])
         delta -= src_term[:, None]
         # Destination term: (N, K, d) scratch, chunked over rows to bound memory.
         step = max(1, _CHUNK_ELEMENTS // max(1, k * points.shape[1]))
         for start in range(0, n, step):
             stop = min(n, start + step)
-            w_block = weights[start:stop, None]
-            grown = stats.weight_sum[None, :] + w_block
-            shifted = centers[None, :, :] + (w_block / grown)[:, :, None] * (
-                points[start:stop, None, :] - centers[None, :, :]
+            delta[start:stop] -= shift_cost(
+                spec,
+                centers[None, :, :],
+                points[start:stop, None, :],
+                stats.weight_sum[None, :],
+                weights[start:stop, None],
             )
-            delta[start:stop] -= grown * rowwise(spec, shifted, centers[None, :, :])
 
     delta[rows, labels] = np.inf
     return delta
@@ -177,23 +180,22 @@ def _move_costs_and_bar(
     stats: ClusterStats,
     centers: np.ndarray,
     spec: DivergenceSpec,
-    threshold: float,
     divs: np.ndarray | None,
 ) -> tuple[np.ndarray, float]:
     """Move-cost matrix and the gain a move must beat to be applied.
 
-    The bar is ``threshold`` plus the rounding floor of the current loss,
-    read off the divergence matrix the costs are built from. Rows of
-    singleton clusters are +inf: emptying a cluster never lowers the loss
-    (its optimal center is the point itself), so such a move could only be
-    taken on rounding noise.
+    The bar is the rounding floor of the current loss, read off the
+    divergence matrix the costs are built from. Rows of singleton clusters
+    are +inf: emptying a cluster never lowers the loss (its optimal center
+    is the point itself), so such a move could only be taken on rounding
+    noise.
     """
     if divs is None:
         divs = pairwise(spec, dataset.points, centers)
     loss = float(dataset.weights @ divs[np.arange(dataset.n), labels])
     delta = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
     delta[stats.member_count[labels] == 1] = np.inf
-    return delta, threshold + rounding_floor(loss, origin_loss(dataset, spec))
+    return delta, rounding_floor(loss, origin_loss(dataset, spec))
 
 
 def c_lo_step(
@@ -214,9 +216,7 @@ def c_lo_step(
     """
     if divs is None:
         divs = pairwise(spec, dataset.points, centers)
-    dmin = divs.min(axis=1)
-    band = (dmin + tie_tolerance * (1.0 + np.abs(dmin)))[:, None]
-    within = divs <= band
+    within = within_tie_band(divs, tie_tolerance)
     candidates = np.flatnonzero(within.sum(axis=1) >= 2)
     if candidates.size == 0:
         return False
@@ -238,18 +238,17 @@ def d_lo_step(
     stats: ClusterStats,
     centers: np.ndarray,
     spec: DivergenceSpec,
-    threshold: float = 0.0,
     divs: np.ndarray | None = None,
 ) -> bool:
-    """Apply the first single-point move that lowers the loss beyond ``threshold``.
+    """Apply the first single-point move that lowers the loss.
 
-    The gain must also clear the rounding floor of the current loss, so a
-    move whose predicted gain is rounding error is never taken. Candidates
-    are scanned point-major, destination-minor. Returns False when no move
+    The gain must clear the rounding floor of the current loss, so a move
+    whose predicted gain is rounding error is never taken. Candidates are
+    scanned point-major, destination-minor. Returns False when no move
     improves, i.e. the assignment is locally optimal over single-point
     moves.
     """
-    delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, threshold, divs)
+    delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs)
     improving = np.flatnonzero((delta < -bar).ravel())
     if improving.size == 0:
         return False
@@ -265,15 +264,14 @@ def min_d_lo_step(
     stats: ClusterStats,
     centers: np.ndarray,
     spec: DivergenceSpec,
-    threshold: float = 0.0,
     divs: np.ndarray | None = None,
 ) -> bool:
     """Apply the single best improving move (ties: smallest point, then cluster).
 
-    The move is applied only when its gain clears ``threshold`` plus the
-    rounding floor of the current loss, as in ``d_lo_step``.
+    The move is applied only when its gain clears the rounding floor of the
+    current loss, as in ``d_lo_step``.
     """
-    delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, threshold, divs)
+    delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs)
     flat = int(np.argmin(delta.ravel()))
     if not delta.ravel()[flat] < -bar:
         return False

@@ -6,7 +6,9 @@ The clustering objective is
 
 over hard assignments P and centers C. For every divergence supported
 here the optimal center of a cluster is its weighted mean, so center
-updates never depend on the divergence choice.
+updates never depend on the divergence choice. The escape core shares
+three definitions from here: ``rank_one_shift`` (the rank-one mean update),
+``within_tie_band`` (the tie band) and ``rounding_floor``.
 """
 
 from __future__ import annotations
@@ -170,6 +172,23 @@ def origin_loss(dataset: Dataset, spec: DivergenceSpec) -> float:
     return float(dataset.weights @ rowwise(spec, dataset.points, np.zeros(dataset.dim)))
 
 
+def rank_one_shift(center, x, weight_sum, s):
+    """``c + s (x - c) / (W + s)``: the mean of a cluster of weight ``W`` and
+    mean ``c`` once signed weight ``s`` at ``x`` joins it (``s = -w`` moves a
+    point out). ``W`` and ``s`` broadcast against ``center.shape[:-1]``; a
+    cluster left with no positive weight raises ArithmeticError."""
+    grown = np.asarray(weight_sum + s)[..., None]
+    if (grown <= 0.0).any():
+        raise ArithmeticError("cluster weights inconsistent with member weights")
+    return center + np.asarray(s)[..., None] * (x - center) / grown
+
+
+def within_tie_band(divs: np.ndarray, tie_tolerance: float) -> np.ndarray:
+    """(N, K) mask of the centers within ``dmin + tol (1 + |dmin|)`` of each row."""
+    dmin = divs.min(axis=1)
+    return divs <= (dmin + tie_tolerance * (1.0 + np.abs(dmin)))[:, None]
+
+
 def incremental_center_update(
     stats: ClusterStats,
     centers: np.ndarray,
@@ -180,14 +199,10 @@ def incremental_center_update(
 ) -> None:
     """Move one point between clusters, updating stats and centers in O(d).
 
-    Centers are adjusted by the rank-one mean updates
-
-        c_src <- c_src - w (x - c_src) / (s_src - w)
-        c_dst <- c_dst + w (x - c_dst) / (s_dst + w)
-
-    which reproduce the recomputed weighted means exactly. When the point
-    is the sole member of ``src`` the cluster becomes empty and its center
-    is flagged undefined (NaN) rather than divided by zero.
+    Both centers take a ``rank_one_shift`` (``-w`` from ``src``, ``+w`` into
+    ``dst``), which reproduces the recomputed weighted means exactly. When
+    the point is the sole member of ``src`` the cluster becomes empty and
+    its center is flagged undefined (NaN) rather than divided by zero.
     """
     if src == dst:
         raise ValueError("source and destination clusters must differ")
@@ -198,11 +213,6 @@ def incremental_center_update(
     if stats.member_count[src] == 1:
         centers[src] = np.nan
     else:
-        remaining = stats.weight_sum[src] - w
-        if remaining <= 0.0:
-            raise ArithmeticError(
-                f"cluster {src} weight {stats.weight_sum[src]} inconsistent with member weight {w}"
-            )
-        centers[src] -= w * (x - centers[src]) / remaining
-    centers[dst] += w * (x - centers[dst]) / (stats.weight_sum[dst] + w)
+        centers[src] = rank_one_shift(centers[src], x, stats.weight_sum[src], -w)
+    centers[dst] = rank_one_shift(centers[dst], x, stats.weight_sum[dst], w)
     stats.move(dataset, point, src, dst)

@@ -25,6 +25,7 @@ from .model import (
     cluster_stats,
     origin_loss,
     rounding_floor,
+    within_tie_band,
 )
 
 C_LOCAL = "c-local"
@@ -84,13 +85,12 @@ def certify_d_local(
     labels: np.ndarray,
     k: int,
     spec: DivergenceSpec,
-    threshold: float = 0.0,
 ) -> Certificate:
     """Exhaustively compare F against every single-point reassignment.
 
-    A reassignment is a witness only when it lowers F by more than
-    ``threshold`` plus the rounding floor of F, the bar the escape steps
-    use; a smaller recomputed difference cannot be told from rounding.
+    A reassignment is a witness only when it lowers F by more than the
+    rounding floor of F, the bar the escape steps use; a smaller recomputed
+    difference cannot be told from rounding.
     """
     labels = check_labels(labels, dataset.n, k)
     stats = cluster_stats(dataset, labels, k)
@@ -111,7 +111,7 @@ def certify_d_local(
             if delta < worst:
                 worst = delta
                 worst_move = (point, src, dst)
-    if worst >= -(threshold + rounding_floor(base, origin_loss(dataset, spec))):
+    if worst >= -rounding_floor(base, origin_loss(dataset, spec)):
         return Certificate(D_LOCAL, None, float(worst), 0)
     point, src, dst = worst_move
     witness = MoveDelta(point, src, dst, float(worst), bool(stats.member_count[src] == 1))
@@ -163,9 +163,7 @@ def certify_c_local(
                 )
 
     divs = pairwise(spec, dataset.points, centers)
-    dmin = divs.min(axis=1)
-    band = dmin + tie_tolerance * (1.0 + np.abs(dmin))
-    within = divs <= band[:, None]
+    within = within_tie_band(divs, tie_tolerance)
     tie_count = int((within.sum(axis=1) >= 2).sum())
 
     def full_delta(point: int, dst: int) -> float:

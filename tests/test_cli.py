@@ -198,6 +198,31 @@ def test_bench_counterexample_frozen_summary(capsys):
     assert len(payload["records"]) == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_run_json_is_strict_json_when_no_move_exists(capsys):
+    # With k = 1 there is no adjacent move, so the d-local certificate's
+    # worst delta is infinite; it must print as null, not Infinity.
+    assert main(["run", "--synth", "n=20,d=1", "--k", "1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["certificates"]["d_local"]["kind"] == "d-local"
+    assert payload["certificates"]["d_local"]["worst_delta"] is None
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+def test_replicates_below_one_rejected(command, capsys):
+    if command == "bench":
+        argv = ["bench", "--synth", "n=20,d=1", "--k", "2", "--replicates", "0"]
+    else:
+        argv = ["sweep", "--n-grid", "20", "--k-grid", "2", "--replicates", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "replicates must be at least 1, got 0" in captured.err
+    assert captured.out == ""
+
+
 def test_bench_requires_k_without_counterexample(capsys):
     assert main(["bench", "--synth", "n=20,d=1"]) == 2
     assert "--k is required" in capsys.readouterr().err

@@ -268,3 +268,21 @@ def test_run_input_validation(counterexample):
     mah = DivergenceSpec.squared_mahalanobis(np.eye(3))
     with pytest.raises(ValueError, match="dimensional"):
         run(dataset, EngineConfig(k=2, divergence=mah))
+
+
+def test_run_rejects_initial_centers_that_do_not_fit_the_dataset(counterexample):
+    dataset, _ = counterexample
+    with pytest.raises(ValueError, match="initial_centers are 3-dimensional"):
+        run(dataset, EngineConfig(k=2, divergence=SQE, initial_centers=np.zeros((2, 3))))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="initial_centers are not finite"):
+            run(dataset, EngineConfig(k=2, divergence=SQE, initial_centers=[[0.0], [bad]]))
+    positive = Dataset(np.array([[1.0], [2.0], [4.0]]), np.ones(3))
+    for spec in (DivergenceSpec.kl(), DivergenceSpec.itakura_saito()):
+        for bad in (0.0, -1.0, np.nan):
+            config = EngineConfig(k=2, divergence=spec, initial_centers=[[1.0], [bad]])
+            with pytest.raises(DomainError, match="initial_centers"):
+                run(positive, config)
+    # Duplicate centers stay legal; the empty-cluster repair handles them.
+    config = EngineConfig(k=2, divergence=DivergenceSpec.kl(), initial_centers=[[2.0], [2.0]])
+    assert run(positive, config).termination == "converged"

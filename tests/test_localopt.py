@@ -234,16 +234,6 @@ def test_min_d_lo_tie_breaks_toward_smallest_point():
     np.testing.assert_array_equal(labels, [0, 0, 0, 1])
 
 
-def test_steps_respect_decrease_threshold(counterexample):
-    dataset, _ = counterexample
-    labels = KMEANS_LABELS.copy()
-    stats, centers = _state(dataset, labels, 2)
-    # The only improving move gains 10/3, below a threshold of 10.
-    assert not d_lo_step(dataset, labels, stats, centers, SQE, threshold=10.0)
-    assert not min_d_lo_step(dataset, labels, stats, centers, SQE, threshold=10.0)
-    np.testing.assert_array_equal(labels, KMEANS_LABELS)
-
-
 def test_steps_decline_at_single_move_optimum(counterexample):
     dataset, _ = counterexample
     labels = ESCAPED_LABELS.copy()

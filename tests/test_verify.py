@@ -156,7 +156,7 @@ def test_certify_d_local_agrees_with_move_cost_matrix():
         labels = report.final_labels
         stats = cluster_stats(dataset, labels, k)
         matrix = move_cost_matrix(dataset, labels, stats, stats.centers(), spec)
-        cert = certify_d_local(dataset, labels, k, spec, threshold=np.inf)
+        cert = certify_d_local(dataset, labels, k, spec)
         closed = float(matrix.min())
         scale = max(1.0, abs(closed), abs(cert.worst_delta))
         assert abs(closed - cert.worst_delta) <= 1e-9 * scale
