@@ -45,8 +45,9 @@ DIVERGENCE_FLAGS = {
     "itakura-saito": ITAKURA_SAITO,
 }
 
-# Exhaustive single-move certification is quadratic in the instance size;
-# skip it above this many (point, destination) candidates.
+# Single-move certification is skipped above this many (point, destination)
+# candidates. It costs O(N K d); the gate stays until the benchmark
+# certifies at that scale (see ROADMAP.md).
 MAX_CERTIFY_ADJACENTS = 20000
 
 
@@ -179,7 +180,7 @@ def _certificates(dataset: Dataset, report: RunReport, config: EngineConfig) -> 
         "d_local": _d_local_certificate(dataset, report.final_labels, config.k, config.divergence),
     }
     if certs["d_local"] is None:
-        certs["d_local_note"] = "skipped: instance too large for exhaustive certification"
+        certs["d_local_note"] = "skipped: instance above MAX_CERTIFY_ADJACENTS"
     return certs
 
 

@@ -13,7 +13,8 @@ the generic phi / grad-phi expression; the equivalence of the two is
 covered by tests. ``pairwise`` instead splits every divergence into a
 row term, a column term and one matrix product (Banerjee et al.,
 *Clustering with Bregman Divergences*, JMLR 2005), so an (N, K) matrix
-costs one GEMM and no (N, K, d) scratch.
+costs one GEMM and no (N, K, d) scratch. ``phi`` evaluates the generating
+function itself, for the d-local certificate's Bregman-information form.
 """
 
 from __future__ import annotations
@@ -136,6 +137,21 @@ def _closed_form(spec: DivergenceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarr
     return (ratio - np.log(ratio) - 1.0).sum(axis=-1)
 
 
+def phi(spec: DivergenceSpec, x: np.ndarray) -> np.ndarray:
+    """The generating function over the last axis (KL: 0 log 0 = 0).
+
+    KL drops phi's linear term ``-sum(x)``: it changes no divergence.
+    """
+    if spec.kind == SQUARED_EUCLIDEAN:
+        return np.einsum("...i,...i->...", x, x)
+    if spec.kind == SQUARED_MAHALANOBIS:
+        return ((x @ spec.matrix) * x).sum(axis=-1)
+    if spec.kind == KL:
+        positive = x > 0.0
+        return np.where(positive, x * np.log(np.where(positive, x, 1.0)), 0.0).sum(axis=-1)
+    return -np.log(x).sum(axis=-1)
+
+
 def evaluate(spec: DivergenceSpec, x: np.ndarray, y: np.ndarray) -> float:
     """D(x, y) for a single pair of points, with full domain validation."""
     x = np.asarray(x, dtype=np.float64)
@@ -174,6 +190,10 @@ def pairwise(spec: DivergenceSpec, points: np.ndarray, centers: np.ndarray) -> n
     data far from the origin leaves rounding larger than real move gains.
     Assumes in-domain inputs, like ``rowwise``; a non-finite center yields
     a non-finite column.
+
+    The result is center-major: the transpose of a C-contiguous (K, N)
+    product ``G(C) @ X.T``, so a min or argmax over the centers of each
+    point reads contiguous memory.
     """
     x = np.asarray(points, dtype=np.float64)
     c = np.asarray(centers, dtype=np.float64)
@@ -185,19 +205,19 @@ def pairwise(spec: DivergenceSpec, points: np.ndarray, centers: np.ndarray) -> n
             xa, ca = x, c
         else:
             xa, ca = x @ spec.matrix, c @ spec.matrix
-        out = xa @ (-2.0 * c).T
+        out = (-2.0 * c) @ xa.T
         row = np.einsum("ij,ij->i", xa, x)
         col = np.einsum("ij,ij->i", ca, c)
     elif spec.kind == KL:
-        out = x @ -np.log(c).T
+        out = -np.log(c) @ x.T
         positive = x > 0.0
         row = np.where(positive, x * np.log(np.where(positive, x, 1.0)), 0.0).sum(axis=1)
         row -= x.sum(axis=1)
         col = c.sum(axis=1)
     else:
-        out = x @ (1.0 / c).T
+        out = (1.0 / c) @ x.T
         row = -np.log(x).sum(axis=1) - x.shape[1]
         col = np.log(c).sum(axis=1)
-    out += row[:, None]
-    out += col[None, :]
-    return np.maximum(out, 0.0, out=out)
+    out += row[None, :]
+    out += col[:, None]
+    return np.maximum(out, 0.0, out=out).T

@@ -118,8 +118,11 @@ def move_cost_matrix(
     """(N, K) matrix of hard-move costs; the own-cluster column is +inf.
 
     ``divs`` may carry the point-to-center divergence matrix already
-    computed by the caller's assignment step; centers must not have
-    changed since.
+    computed by the caller's assignment step. After an escape move the
+    caller's ``centers`` are the recomputed means while ``divs`` was taken
+    at the rank-one-updated ones, so the two may differ by the rounding of
+    the rank-one update; the escape steps' rounding floor absorbs that.
+    The result has the layout of ``divs`` (center-major from ``pairwise``).
     """
     points = dataset.points
     weights = dataset.weights
@@ -140,9 +143,11 @@ def move_cost_matrix(
         # the plain -w D(x, c_a) term, as in the rank-one path below.
         src_scale = np.ones(n, dtype=np.float64)
         src_scale[multi] = stats.weight_sum[labels][multi] / remaining[multi]
-        delta = (weights[:, None] * stats.weight_sum[None, :]) / (
-            stats.weight_sum[None, :] + weights[:, None]
+        # Built (K, N) and viewed as (N, K), the layout pairwise returns.
+        delta = (stats.weight_sum[:, None] * weights[None, :]) / (
+            stats.weight_sum[:, None] + weights[None, :]
         )
+        delta = delta.T
         delta *= divs
         delta -= (weights * src_scale * own)[:, None]
     else:
@@ -158,17 +163,17 @@ def move_cost_matrix(
                 spec, centers[src], points[idx], stats.weight_sum[src], -weights[idx]
             )
         delta -= src_term[:, None]
-        # Destination term: (N, K, d) scratch, chunked over rows to bound memory.
+        # Destination term: (K, rows, d) scratch, chunked over rows to bound memory.
         step = max(1, _CHUNK_ELEMENTS // max(1, k * points.shape[1]))
         for start in range(0, n, step):
             stop = min(n, start + step)
             delta[start:stop] -= shift_cost(
                 spec,
-                centers[None, :, :],
-                points[start:stop, None, :],
-                stats.weight_sum[None, :],
-                weights[start:stop, None],
-            )
+                centers[:, None, :],
+                points[None, start:stop, :],
+                stats.weight_sum[:, None],
+                weights[None, start:stop],
+            ).T
 
     delta[rows, labels] = np.inf
     return delta
@@ -181,21 +186,25 @@ def _move_costs_and_bar(
     centers: np.ndarray,
     spec: DivergenceSpec,
     divs: np.ndarray | None,
+    origin: float | None,
 ) -> tuple[np.ndarray, float]:
     """Move-cost matrix and the gain a move must beat to be applied.
 
     The bar is the rounding floor of the current loss, read off the
-    divergence matrix the costs are built from. Rows of singleton clusters
-    are +inf: emptying a cluster never lowers the loss (its optimal center
-    is the point itself), so such a move could only be taken on rounding
-    noise.
+    divergence matrix the costs are built from; ``origin`` is the
+    dataset's ``origin_loss``, computed here when not given. Rows of
+    singleton clusters are +inf: emptying a cluster never lowers the loss
+    (its optimal center is the point itself), so such a move could only be
+    taken on rounding noise.
     """
     if divs is None:
         divs = pairwise(spec, dataset.points, centers)
+    if origin is None:
+        origin = origin_loss(dataset, spec)
     loss = float(dataset.weights @ divs[np.arange(dataset.n), labels])
     delta = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
     delta[stats.member_count[labels] == 1] = np.inf
-    return delta, rounding_floor(loss, origin_loss(dataset, spec))
+    return delta, rounding_floor(loss, origin)
 
 
 def c_lo_step(
@@ -239,20 +248,25 @@ def d_lo_step(
     centers: np.ndarray,
     spec: DivergenceSpec,
     divs: np.ndarray | None = None,
+    origin: float | None = None,
 ) -> bool:
     """Apply the first single-point move that lowers the loss.
 
     The gain must clear the rounding floor of the current loss, so a move
     whose predicted gain is rounding error is never taken. Candidates are
-    scanned point-major, destination-minor. Returns False when no move
-    improves, i.e. the assignment is locally optimal over single-point
-    moves.
+    scanned point-major, destination-minor: the first point with an
+    improving move takes its smallest improving destination, even when a
+    later one gains more. Returns False when no move improves, i.e. the
+    assignment is locally optimal over single-point moves. ``origin`` is
+    the dataset's ``origin_loss``; ``engine.run`` passes it once per run.
     """
-    delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs)
-    improving = np.flatnonzero((delta < -bar).ravel())
-    if improving.size == 0:
+    delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs, origin)
+    improving = delta < -bar
+    gains = improving.any(axis=1)
+    if not gains.any():
         return False
-    point, dst = divmod(int(improving[0]), delta.shape[1])
+    point = int(np.argmax(gains))
+    dst = int(np.argmax(improving[point]))
     incremental_center_update(stats, centers, point, int(labels[point]), dst, dataset)
     labels[point] = dst
     return True
@@ -265,17 +279,18 @@ def min_d_lo_step(
     centers: np.ndarray,
     spec: DivergenceSpec,
     divs: np.ndarray | None = None,
+    origin: float | None = None,
 ) -> bool:
     """Apply the single best improving move (ties: smallest point, then cluster).
 
     The move is applied only when its gain clears the rounding floor of the
     current loss, as in ``d_lo_step``.
     """
-    delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs)
-    flat = int(np.argmin(delta.ravel()))
-    if not delta.ravel()[flat] < -bar:
+    delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs, origin)
+    point = int(np.argmin(delta.min(axis=1)))
+    dst = int(np.argmin(delta[point]))
+    if not delta[point, dst] < -bar:
         return False
-    point, dst = divmod(flat, delta.shape[1])
     incremental_center_update(stats, centers, point, int(labels[point]), dst, dataset)
     labels[point] = dst
     return True

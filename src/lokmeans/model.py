@@ -109,14 +109,25 @@ class ClusterStats:
         self.member_count[dst] += 1
 
 
+def weighted_sums(points: np.ndarray, weights: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """(K, d) per-cluster sums of ``w x``, each accumulated in point order.
+
+    The products are formed coordinate-major, so each coordinate's
+    ``bincount`` reads contiguous memory.
+    """
+    n, d = points.shape
+    weighted = np.multiply(points.T, weights, out=np.empty((d, n)))
+    sums = np.empty((k, d), dtype=np.float64)
+    for j in range(d):
+        sums[:, j] = np.bincount(labels, weights=weighted[j], minlength=k)
+    return sums
+
+
 def cluster_stats(dataset: Dataset, labels: np.ndarray, k: int) -> ClusterStats:
     labels = check_labels(labels, dataset.n, k)
     weight_sum = np.bincount(labels, weights=dataset.weights, minlength=k)
     member_count = np.bincount(labels, minlength=k).astype(np.int64)
-    coord_sum = np.empty((k, dataset.dim), dtype=np.float64)
-    weighted = dataset.weights[:, None] * dataset.points
-    for j in range(dataset.dim):
-        coord_sum[:, j] = np.bincount(labels, weights=weighted[:, j], minlength=k)
+    coord_sum = weighted_sums(dataset.points, dataset.weights, labels, k)
     return ClusterStats(weight_sum, coord_sum, member_count)
 
 

@@ -1,12 +1,14 @@
 """Independent verification: local-optimality certificates and brute force.
 
-Everything here recomputes losses from scratch (fresh weighted means,
-full sums) so that certificates stay meaningful even if the engine's
+Everything here recomputes from scratch (fresh weighted sums from the
+labels) so that certificates stay meaningful even if the engine's
 incremental arithmetic were wrong. ``certify_d_local`` checks the
-assignment against every single-point reassignment; ``certify_c_local``
-checks the conditions under which a fixed point of the assignment sweep
-is optimal against continuous perturbations: no cross-cluster nearest-
-center ties, no empty clusters, pairwise-distinct centers.
+assignment against every single-point reassignment through the Bregman-
+information identity, a different formula from the engine's move costs,
+and recomputes the full loss for the moves that decide its verdict;
+``certify_c_local`` checks the conditions under which a fixed point of the
+assignment sweep is optimal against continuous perturbations: no cross-
+cluster nearest-center ties, no empty clusters, pairwise-distinct centers.
 """
 
 from __future__ import annotations
@@ -16,15 +18,25 @@ from typing import Iterator
 
 import numpy as np
 
-from .divergence import DivergenceSpec, pairwise, rowwise
-from .localopt import MoveDelta
+from .divergence import (
+    KL,
+    QUADRATIC_KINDS,
+    SQUARED_MAHALANOBIS,
+    DivergenceSpec,
+    pairwise,
+    phi,
+    rowwise,
+)
+from .localopt import _CHUNK_ELEMENTS, MoveDelta
 from .model import (
+    ClusterStats,
     Dataset,
     EmptyClusterError,
     check_labels,
     cluster_stats,
     origin_loss,
     rounding_floor,
+    weighted_sums,
     within_tie_band,
 )
 
@@ -80,17 +92,89 @@ def loss_at_optimal_centers(
     return float(per_point @ dataset.weights)
 
 
+def _adjacent_deltas(
+    dataset: Dataset, labels: np.ndarray, stats: ClusterStats, spec: DivergenceSpec
+) -> np.ndarray:
+    """(N, K) change of F for every single-point move; the own column is +inf.
+
+    A cluster of weight W and mean c holds ``sum w phi(x) - W phi(c)`` (its
+    Bregman information), so moving point g (weight w) from a to b changes
+    F by ``W_a phi(c_a) + W_b phi(c_b) - (W_a - w) phi(c_a') - (W_b + w)
+    phi(c_b')``, with c' the means after the move; the source term is 0
+    when the move empties a. The sums come fresh from the labels, of points
+    shifted by their mean for the quadratic kinds.
+    """
+    x, w = dataset.points, dataset.weights
+    if spec.kind in QUADRATIC_KINDS:
+        x = x - x.mean(axis=0)
+    n, k = dataset.n, stats.k
+    totals = stats.weight_sum
+    sums = weighted_sums(x, w, labels, k)
+    held = totals * phi(spec, sums / totals[:, None])
+
+    source = held[labels]
+    multi = np.flatnonzero(stats.member_count[labels] > 1)
+    left = totals[labels[multi]] - w[multi]
+    moved_out = (sums[labels[multi]] - w[multi, None] * x[multi]) / left[:, None]
+    source[multi] -= left * phi(spec, moved_out)
+
+    delta = np.empty((n, k))
+    step = max(1, _CHUNK_ELEMENTS // max(1, k * dataset.dim))
+    for start in range(0, n, step):
+        rows = slice(start, min(n, start + step))
+        grown = totals + w[rows, None]
+        moved_in = (sums + w[rows, None, None] * x[rows, None, :]) / grown[:, :, None]
+        delta[rows] = source[rows, None] + held - grown * phi(spec, moved_in)
+    delta[np.arange(n), labels] = np.inf
+    return delta
+
+
+def adjacent_delta_bound(dataset: Dataset, spec: DivergenceSpec, loss: float) -> float:
+    """Bound on the gap between a fast and a recomputed adjacent delta.
+
+    ``beta = 8 (n + d + 4) u (Phi + F + sqrt(F O))`` with u = 2^-53, F the
+    loss and O the ``origin_loss``. Each fast delta adds four ``W phi(c)``
+    terms whose sums run over at most n points and d coordinates, so to
+    first order each is off by at most (n + d + 4) u times ``Phi = sum_g
+    w_g m(x_g)``, where m bounds |phi| and its sensitivity to relative
+    error: ``||A||_F ||x||^2`` on mean-shifted points for the quadratic
+    kinds (A = I for squared Euclidean), ``sum_j x_j (1 + |log x_j|)`` for
+    KL, ``sum_j (1 + |log x_j|)`` for Itakura-Saito. A recomputed delta
+    differs two losses, each off by about (n + d) u (F + sqrt(F O)) (see
+    ``rounding_floor``).
+    """
+    x, w = dataset.points, dataset.weights
+    if spec.kind in QUADRATIC_KINDS:
+        x = x - x.mean(axis=0)
+        scale = 1.0 if spec.kind != SQUARED_MAHALANOBIS else float(np.linalg.norm(spec.matrix))
+        magnitude = scale * np.einsum("ij,ij->i", x, x)
+    else:
+        positive = x > 0.0
+        logs = 1.0 + np.abs(np.log(np.where(positive, x, 1.0)))
+        magnitude = (x * logs if spec.kind == KL else logs).sum(axis=1)
+    total = float(w @ magnitude) + loss + np.sqrt(loss * origin_loss(dataset, spec))
+    return 8.0 * (dataset.n + dataset.dim + 4) * (np.finfo(np.float64).eps / 2) * total
+
+
 def certify_d_local(
     dataset: Dataset,
     labels: np.ndarray,
     k: int,
     spec: DivergenceSpec,
 ) -> Certificate:
-    """Exhaustively compare F against every single-point reassignment.
+    """Compare F against every single-point reassignment in O(N K d).
 
-    A reassignment is a witness only when it lowers F by more than the
-    rounding floor of F, the bar the escape steps use; a smaller recomputed
-    difference cannot be told from rounding.
+    Every adjacent delta comes from the Bregman-information identity in one
+    vectorised pass (``_adjacent_deltas``); it lies within ``beta`` of the
+    recomputed difference ``F(moved) - F`` (``adjacent_delta_bound``).
+    Each move whose fast delta lies within ``2 beta`` of the smallest one
+    is recomputed exactly with ``loss_at_optimal_centers``, as is any move
+    whose fast delta is not finite. Every move that could hold the
+    smallest recomputed delta is among them, so ``worst_delta``, the
+    witness and the verdict are those of recomputing all n(k-1) moves. A
+    move is a witness only when it lowers F by more than the rounding floor
+    of F, the bar the escape steps use; a smaller recomputed difference
+    cannot be told from rounding.
     """
     labels = check_labels(labels, dataset.n, k)
     stats = cluster_stats(dataset, labels, k)
@@ -98,19 +182,21 @@ def certify_d_local(
     if empty.size:
         raise EmptyClusterError(int(empty[0]))
     base = loss_at_optimal_centers(dataset, labels, k, spec)
+    fast = _adjacent_deltas(dataset, labels, stats, spec)
+    finite = np.isfinite(fast)
+    recheck = ~finite
+    recheck[np.arange(dataset.n), labels] = False
+    if finite.any():
+        recheck |= fast <= fast[finite].min() + 2.0 * adjacent_delta_bound(dataset, spec, base)
     worst = np.inf
     worst_move: tuple[int, int, int] | None = None
-    for point in range(dataset.n):
-        src = int(labels[point])
-        for dst in range(k):
-            if dst == src:
-                continue
-            trial = labels.copy()
-            trial[point] = dst
-            delta = loss_at_optimal_centers(dataset, trial, k, spec) - base
-            if delta < worst:
-                worst = delta
-                worst_move = (point, src, dst)
+    for point, dst in np.argwhere(recheck):
+        trial = labels.copy()
+        trial[point] = dst
+        delta = loss_at_optimal_centers(dataset, trial, k, spec) - base
+        if delta < worst:
+            worst = delta
+            worst_move = (int(point), int(labels[point]), int(dst))
     if worst >= -rounding_floor(base, origin_loss(dataset, spec)):
         return Certificate(D_LOCAL, None, float(worst), 0)
     point, src, dst = worst_move

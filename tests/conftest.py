@@ -6,13 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lokmeans import Dataset, DivergenceSpec, counterexample_instance
+from lokmeans import Dataset, DivergenceSpec, cluster_stats, counterexample_instance
 from lokmeans.divergence import (
     ITAKURA_SAITO,
     KL,
     SQUARED_EUCLIDEAN,
     SQUARED_MAHALANOBIS,
 )
+from lokmeans.localopt import MoveDelta
+from lokmeans.model import EmptyClusterError, origin_loss, rounding_floor
+from lokmeans.verify import D_LOCAL, NOT_LOCAL, Certificate, loss_at_optimal_centers
 
 DATA_DIR = Path(__file__).parent / "data"
 IRIS_PATH = DATA_DIR / "iris.csv"
@@ -53,6 +56,39 @@ def exact_sqe_loss(dataset, labels):
         for x, w in members:
             total += w * sum((xj - cj) ** 2 for xj, cj in zip(x, center))
     return total
+
+
+def exhaustive_d_local(dataset, labels, k, spec):
+    """``certify_d_local`` by recomputing F for all n(k-1) adjacent labelings.
+
+    The O(N^2 K d) reference the fast certificate must agree with: the
+    smallest recomputed difference, its first move in point-major order,
+    and a witness only below minus the rounding floor.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    stats = cluster_stats(dataset, labels, k)
+    empty = np.flatnonzero(stats.member_count == 0)
+    if empty.size:
+        raise EmptyClusterError(int(empty[0]))
+    base = loss_at_optimal_centers(dataset, labels, k, spec)
+    worst = np.inf
+    worst_move = None
+    for point in range(dataset.n):
+        src = int(labels[point])
+        for dst in range(k):
+            if dst == src:
+                continue
+            trial = labels.copy()
+            trial[point] = dst
+            delta = loss_at_optimal_centers(dataset, trial, k, spec) - base
+            if delta < worst:
+                worst = delta
+                worst_move = (point, src, dst)
+    if worst >= -rounding_floor(base, origin_loss(dataset, spec)):
+        return Certificate(D_LOCAL, None, float(worst), 0)
+    point, src, dst = worst_move
+    witness = MoveDelta(point, src, dst, float(worst), bool(stats.member_count[src] == 1))
+    return Certificate(NOT_LOCAL, witness, float(worst), 0)
 
 
 def random_spd(rng, d):

@@ -26,6 +26,7 @@ from lokmeans import (
     run,
     synth_uniform_grid,
 )
+from lokmeans.divergence import pairwise
 from lokmeans.model import rounding_floor
 
 SQE = DivergenceSpec.squared_euclidean()
@@ -232,6 +233,59 @@ def test_min_d_lo_tie_breaks_toward_smallest_point():
     stats, centers = _state(dataset, labels, 2)
     assert min_d_lo_step(dataset, labels, stats, centers, SQE)
     np.testing.assert_array_equal(labels, [0, 0, 0, 1])
+
+
+def test_d_lo_step_takes_the_smaller_improving_destination():
+    # Point 0 gains 45.5 by moving to cluster 1 and 49.5 by moving to
+    # cluster 2; d-lo scans destinations in index order and takes 1, while
+    # min-d-lo takes the larger gain.
+    dataset = Dataset(np.array([[0.0], [10.0], [-3.0], [1.0]]), np.ones(4))
+    labels = np.array([0, 0, 1, 2])
+    stats, centers = _state(dataset, labels, 3)
+    delta = move_cost_matrix(dataset, labels, stats, centers, SQE)
+    assert delta[0, 1] == pytest.approx(-45.5) and delta[0, 2] == pytest.approx(-49.5)
+    assert d_lo_step(dataset, labels, stats, centers, SQE)
+    np.testing.assert_array_equal(labels, [1, 0, 1, 2])
+    labels = np.array([0, 0, 1, 2])
+    stats, centers = _state(dataset, labels, 3)
+    assert min_d_lo_step(dataset, labels, stats, centers, SQE)
+    np.testing.assert_array_equal(labels, [2, 0, 1, 2])
+
+
+def test_min_d_lo_tie_breaks_toward_smaller_cluster_of_the_same_point():
+    # Clusters 1 and 2 sit symmetrically about point 0: both moves gain
+    # exactly 48, the best gain of any move; the smaller cluster wins.
+    dataset = Dataset(np.array([[0.0], [10.0], [-2.0], [2.0]]), np.ones(4))
+    labels = np.array([0, 0, 1, 2])
+    stats, centers = _state(dataset, labels, 3)
+    delta = move_cost_matrix(dataset, labels, stats, centers, SQE)
+    assert delta[0, 1] == delta[0, 2] == delta.min()
+    assert min_d_lo_step(dataset, labels, stats, centers, SQE)
+    np.testing.assert_array_equal(labels, [1, 0, 1, 2])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_move_costs_and_steps_do_not_depend_on_divs_layout(kind):
+    # pairwise returns a center-major (Fortran-ordered) matrix; a C-ordered
+    # copy of the same values must give bit-identical costs and moves.
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        dataset, _ = random_instance(rng, n_range=(8, 40), k_range=(3, 3))
+        spec = spec_for(kind, rng, dataset.dim)
+        labels = rng.permutation(np.arange(dataset.n) % 3)
+        stats, centers = _state(dataset, labels, 3)
+        divs = pairwise(spec, dataset.points, centers)
+        layouts = (np.ascontiguousarray(divs), np.asfortranarray(divs))
+        costs = [move_cost_matrix(dataset, labels, stats, centers, spec, m) for m in layouts]
+        np.testing.assert_array_equal(costs[0], costs[1])
+        for step in (d_lo_step, min_d_lo_step):
+            moved = []
+            for m in layouts:
+                state = labels.copy(), *_state(dataset, labels, 3)
+                moved.append((step(dataset, *state, spec, divs=m), *state))
+            assert moved[0][0] == moved[1][0]
+            np.testing.assert_array_equal(moved[0][1], moved[1][1])
+            np.testing.assert_array_equal(moved[0][3], moved[1][3])
 
 
 def test_steps_decline_at_single_move_optimum(counterexample):

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ALL_KINDS, exact_sqe_loss, random_instance, spec_for
+from conftest import (
+    ALL_KINDS,
+    exact_sqe_loss,
+    exhaustive_d_local,
+    random_instance,
+    spec_for,
+)
 from lokmeans import (
     Dataset,
     DivergenceSpec,
@@ -21,7 +29,9 @@ from lokmeans import (
     run,
     synth_uniform_grid,
 )
-from lokmeans.model import rounding_floor
+from lokmeans.divergence import ITAKURA_SAITO, KL, SQUARED_MAHALANOBIS
+from lokmeans.model import origin_loss, rounding_floor
+from lokmeans.verify import _adjacent_deltas, adjacent_delta_bound
 
 SQE = DivergenceSpec.squared_euclidean()
 KMEANS_LABELS = np.array([0, 0, 0, 1, 1])
@@ -179,6 +189,85 @@ def test_certify_d_local_refuses_rounding_only_witness():
     base = exact_sqe_loss(dataset, labels)
     gains = [exact_sqe_loss(dataset, trial) - base for trial in adjacent_assignments(labels, 15)]
     assert min(gains) == 0
+
+
+def test_fast_adjacent_deltas_lie_within_the_stated_bound():
+    # Every Bregman-information delta against the recomputed difference,
+    # at engine fixed points and at random labelings, for all four kinds.
+    rng = np.random.default_rng(41)
+    for trial in range(24):
+        dataset, k = random_instance(rng, n_range=(6, 14), k_range=(2, 4))
+        spec = spec_for(ALL_KINDS[trial % 4], rng, dataset.dim)
+        if trial % 8 in (4, 5):
+            # Quadratic kinds far from the origin: the mean shift's case.
+            dataset = Dataset(dataset.points + 1e5, dataset.weights)
+        if trial % 2:
+            labels = rng.permutation(np.arange(dataset.n) % k)
+        else:
+            labels = run(dataset, EngineConfig(k=k, divergence=spec, seed=trial)).final_labels
+        base = loss_at_optimal_centers(dataset, labels, k, spec)
+        fast = _adjacent_deltas(dataset, labels, cluster_stats(dataset, labels, k), spec)
+        bound = adjacent_delta_bound(dataset, spec, base)
+        for trial_labels in adjacent_assignments(labels, k):
+            point = int(np.flatnonzero(trial_labels != labels)[0])
+            recomputed = loss_at_optimal_centers(dataset, trial_labels, k, spec) - base
+            assert abs(fast[point, trial_labels[point]] - recomputed) <= bound
+        assert np.isinf(fast[np.arange(dataset.n), labels]).all()
+
+
+def test_certify_d_local_rechecks_moves_the_fast_form_ranks_apart():
+    # Two moves tie at a gain of -5/6; the fast form rounds one lowest, the
+    # recomputed losses the other. Rechecking every move near the fast
+    # minimum still reports the smallest recomputed delta.
+    dataset = synth_uniform_grid(13, 2, 255)
+    labels = run(dataset, EngineConfig(k=6, divergence=SQE, seed=255)).final_labels
+    fast = _adjacent_deltas(dataset, labels, cluster_stats(dataset, labels, 6), SQE)
+    point, dst = np.unravel_index(np.argmin(fast), fast.shape)
+    trial = labels.copy()
+    trial[point] = dst
+    base = loss_at_optimal_centers(dataset, labels, 6, SQE)
+    oracle = exhaustive_d_local(dataset, labels, 6, SQE)
+    assert loss_at_optimal_centers(dataset, trial, 6, SQE) - base > oracle.worst_delta
+    assert certify_d_local(dataset, labels, 6, SQE) == oracle
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(8, 60),
+    d=st.sampled_from((1, 2)),
+    k=st.integers(2, 9),
+    case=st.sampled_from(("sqe", "sqe+1e5", SQUARED_MAHALANOBIS, KL, ITAKURA_SAITO)),
+)
+def test_certify_d_local_agrees_with_exhaustive_on_tie_heavy_grids(seed, n, d, k, case):
+    # Integer grids are full of exact ties and zero-gain moves. On a plain
+    # K-means fixed point, a d-lo result and a random labeling, the fast
+    # certificate must match recomputing all n(k-1) moves; where the two
+    # disagree on squared Euclidean, exact rationals decide.
+    dataset = synth_uniform_grid(n, d, seed)
+    if case == "sqe+1e5":
+        dataset = Dataset(dataset.points + 1e5, dataset.weights)
+    k = min(k, dataset.n)
+    rng = np.random.default_rng(seed)
+    spec = SQE if case.startswith("sqe") else spec_for(case, rng, d)
+    labelings = [
+        run(dataset, EngineConfig(k=k, divergence=spec, variant=variant, seed=seed)).final_labels
+        for variant in ("none", "d-lo")
+    ]
+    labelings.append(rng.permutation(np.arange(dataset.n) % k))
+    for labels in labelings:
+        fast = certify_d_local(dataset, labels, k, spec)
+        slow = exhaustive_d_local(dataset, labels, k, spec)
+        if fast.kind != slow.kind:
+            assert case.startswith("sqe")
+            base = exact_sqe_loss(dataset, labels)
+            gain = min(exact_sqe_loss(dataset, t) - base for t in adjacent_assignments(labels, k))
+            loss = loss_at_optimal_centers(dataset, labels, k, spec)
+            floor = rounding_floor(loss, origin_loss(dataset, spec))
+            assert fast.kind == ("not-local" if gain < -floor else "d-local")
+            continue
+        assert fast.worst_delta == slow.worst_delta
+        assert fast.witness == slow.witness
 
 
 def test_brute_force_counterexample_optimum(counterexample):
