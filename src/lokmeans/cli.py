@@ -140,6 +140,9 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]
     if isinstance(value, np.ndarray):
+        # Only non-finite floats need the element walk (they become null).
+        if value.dtype.kind in "iu" or (value.dtype.kind == "f" and np.isfinite(value).all()):
+            return value.tolist()
         return _jsonable(value.tolist())
     if isinstance(value, (np.integer, int)):
         return int(value)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -27,35 +29,32 @@ def load_csv(path: str, skip_header: bool = False, weight_column: int | None = N
     """Parse a UTF-8 comma-separated file of numeric rows.
 
     ``weight_column`` is a zero-based index into the raw columns; the
-    remaining columns become coordinates. Errors carry one-based row and
-    column locations.
+    remaining columns become coordinates. Cells follow Python's ``float``
+    (surrounding whitespace, ``1_0``, ``+1e5``) and must be finite. Errors
+    carry one-based file row and column locations; the first bad cell in
+    file order wins, ahead of its row's column count.
     """
     records: list[list[float]] = []
+    file_rows: list[int] = []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        for row_index, row in enumerate(reader, start=1):
-            if skip_header and row_index == 1:
+        for row_index, row in enumerate(csv.reader(handle), start=1):
+            if not row or (skip_header and row_index == 1):
                 continue
-            if not row:
-                continue
-            values = []
-            for col_index, cell in enumerate(row, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: row {row_index}, column {col_index}: not a number: {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise CsvFormatError(
-                        f"{path}: row {row_index}, column {col_index}: non-finite value"
-                    )
-                values.append(value)
+            # One conversion and one finiteness test per row; only a row
+            # that fails either is scanned cell by cell for the error.
+            try:
+                values = list(map(float, row))
+                finite = all(map(math.isfinite, values))
+            except ValueError:
+                finite = False
+            if not finite:
+                _raise_bad_cell(path, row_index, row)
             if records and len(values) != len(records[0]):
                 raise CsvFormatError(
                     f"{path}: row {row_index}: expected {len(records[0])} columns, got {len(values)}"
                 )
             records.append(values)
+            file_rows.append(row_index)
     if not records:
         raise CsvFormatError(f"{path}: no data rows")
 
@@ -69,16 +68,34 @@ def load_csv(path: str, skip_header: bool = False, weight_column: int | None = N
     weights = table[:, weight_column]
     if (weights <= 0.0).any():
         bad = int(np.flatnonzero(weights <= 0.0)[0])
-        raise CsvFormatError(f"{path}: row {bad + 1}: weight must be positive")
+        raise CsvFormatError(f"{path}: row {file_rows[bad]}: weight must be positive")
     rows = np.delete(table, weight_column, axis=1)
     if rows.shape[1] == 0:
         raise CsvFormatError(f"{path}: no coordinate columns besides the weight column")
     return RawTable(rows, weights)
 
 
+def _raise_bad_cell(path: str, row_index: int, row: list[str]) -> NoReturn:
+    """Raise the error for the first cell of ``row`` that is not a finite number."""
+    for col_index, cell in enumerate(row, start=1):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise CsvFormatError(
+                f"{path}: row {row_index}, column {col_index}: not a number: {cell!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise CsvFormatError(f"{path}: row {row_index}, column {col_index}: non-finite value")
+    raise AssertionError(f"row {row_index} holds only finite numbers")
+
+
 def dedup_merge(raw: RawTable) -> Dataset:
-    """Merge bitwise-identical rows, summing weights, keeping first-seen order."""
-    rows = np.ascontiguousarray(raw.rows, dtype=np.float64)
+    """Merge rows of equal value, summing weights, keeping first-seen order.
+
+    Rows are compared bitwise after ``-0.0`` is normalised to ``+0.0``, so
+    two rows merge exactly when ``Dataset`` would call them equal.
+    """
+    rows = np.ascontiguousarray(raw.rows, dtype=np.float64) + 0.0
     weights = (
         np.ones(rows.shape[0], dtype=np.float64)
         if raw.weights is None

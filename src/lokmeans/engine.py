@@ -278,7 +278,7 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
                 termination = TERMINATION_CONVERGED
                 break
             invocations += 1
-        trajectory.append(clustering_loss(dataset, labels, centers, spec))
+        trajectory.append(clustering_loss(dataset, labels, centers, spec, check_points=False))
 
     return RunReport(
         final_labels=labels,

@@ -137,14 +137,25 @@ def optimal_centers(dataset: Dataset, labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def clustering_loss(
-    dataset: Dataset, labels: np.ndarray, centers: np.ndarray, spec: DivergenceSpec
+    dataset: Dataset,
+    labels: np.ndarray,
+    centers: np.ndarray,
+    spec: DivergenceSpec,
+    *,
+    check_points: bool = True,
 ) -> float:
-    """Exact weighted sum of divergences from each point to its center."""
+    """Exact weighted sum of divergences from each point to its center.
+
+    ``check_points=False`` skips only the O(N d) domain check of the
+    points, for a caller that has already checked this dataset against
+    ``spec`` (``engine.run`` does once per run); the centers are always
+    checked.
+    """
     centers = np.asarray(centers, dtype=np.float64)
     labels = check_labels(labels, dataset.n, centers.shape[0])
     if centers.ndim != 2 or centers.shape[1] != dataset.dim:
         raise ValueError(f"centers shape {centers.shape} does not match dimension {dataset.dim}")
-    if not domain_contains(spec, dataset.points):
+    if check_points and not domain_contains(spec, dataset.points):
         raise DomainError(f"points outside the domain of {spec.kind}")
     if not domain_contains(spec, centers, require_interior=True):
         raise DomainError(f"centers outside the interior domain of {spec.kind}")

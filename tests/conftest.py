@@ -1,5 +1,6 @@
 """Shared fixtures and instance generators for the test suite."""
 
+import csv
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from lokmeans.divergence import (
     SQUARED_EUCLIDEAN,
     SQUARED_MAHALANOBIS,
 )
+from lokmeans.data_io import CsvFormatError, RawTable
 from lokmeans.localopt import MoveDelta
 from lokmeans.model import EmptyClusterError, origin_loss, rounding_floor
 from lokmeans.verify import D_LOCAL, NOT_LOCAL, Certificate, loss_at_optimal_centers
@@ -89,6 +91,60 @@ def exhaustive_d_local(dataset, labels, k, spec):
     point, src, dst = worst_move
     witness = MoveDelta(point, src, dst, float(worst), bool(stats.member_count[src] == 1))
     return Certificate(NOT_LOCAL, witness, float(worst), 0)
+
+
+def reference_load_csv(path, skip_header=False, weight_column=None):
+    """``load_csv`` converting and checking one cell at a time.
+
+    The reference the row-at-a-time parser must match: the same
+    ``RawTable`` bit for bit, or the same error message. A bad cell
+    reports its file row and column, ahead of its row's column count, and
+    a bad weight reports its file row.
+    """
+    records, file_rows = [], []
+    with open(path, newline="", encoding="utf-8") as handle:
+        for row_index, row in enumerate(csv.reader(handle), start=1):
+            if skip_header and row_index == 1:
+                continue
+            if not row:
+                continue
+            values = []
+            for col_index, cell in enumerate(row, start=1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: row {row_index}, column {col_index}: not a number: {cell!r}"
+                    ) from None
+                if not np.isfinite(value):
+                    raise CsvFormatError(
+                        f"{path}: row {row_index}, column {col_index}: non-finite value"
+                    )
+                values.append(value)
+            if records and len(values) != len(records[0]):
+                raise CsvFormatError(
+                    f"{path}: row {row_index}: expected {len(records[0])} columns, got {len(values)}"
+                )
+            records.append(values)
+            file_rows.append(row_index)
+    if not records:
+        raise CsvFormatError(f"{path}: no data rows")
+
+    table = np.asarray(records, dtype=np.float64)
+    if weight_column is None:
+        return RawTable(table, None)
+    if not 0 <= weight_column < table.shape[1]:
+        raise CsvFormatError(
+            f"{path}: weight column {weight_column} out of range for {table.shape[1]} columns"
+        )
+    weights = table[:, weight_column]
+    for weight, file_row in zip(weights, file_rows):
+        if weight <= 0.0:
+            raise CsvFormatError(f"{path}: row {file_row}: weight must be positive")
+    rows = np.delete(table, weight_column, axis=1)
+    if rows.shape[1] == 0:
+        raise CsvFormatError(f"{path}: no coordinate columns besides the weight column")
+    return RawTable(rows, weights)
 
 
 def random_spd(rng, d):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from lokmeans.cli import BENCH_COLUMNS, SWEEP_METRICS, main
+from lokmeans.cli import BENCH_COLUMNS, SWEEP_METRICS, _jsonable, main
 
 
 def _json_output(capsys):
@@ -96,6 +96,15 @@ def test_run_reads_weighted_csv(tmp_path, capsys):
     assert payload["dataset"]["n"] == 3
     assert payload["dataset"]["d"] == 2
     assert payload["dataset"]["total_weight"] == pytest.approx(6.0)
+
+
+def test_run_merges_rows_that_differ_only_in_a_signed_zero(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_text("1,0,1\n1,-0,1\n5,5,5\n")
+    assert main(["run", "--data", str(path), "--k", "2", "--json"]) == 0
+    payload, _ = _json_output(capsys)
+    assert payload["dataset"]["n"] == 2
+    assert payload["dataset"]["total_weight"] == pytest.approx(3.0)
 
 
 def test_run_requires_a_dataset(capsys):
@@ -209,6 +218,17 @@ def test_run_json_is_strict_json_when_no_move_exists(capsys):
     payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert payload["certificates"]["d_local"]["kind"] == "d-local"
     assert payload["certificates"]["d_local"]["worst_delta"] is None
+
+
+def test_jsonable_turns_arrays_into_lists_and_non_finite_values_into_null():
+    payload = {
+        "labels": np.arange(3, dtype=np.int64),
+        "centers": np.array([[0.5, -0.0]]),
+        "deltas": np.array([1.0, np.inf, np.nan]),
+    }
+    out = _jsonable(payload)
+    assert out == {"labels": [0, 1, 2], "centers": [[0.5, -0.0]], "deltas": [1.0, None, None]}
+    assert all(type(label) is int for label in out["labels"])
 
 
 @pytest.mark.parametrize("command", ["bench", "sweep"])

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_load_csv
 from lokmeans import (
     CsvFormatError,
     DivergenceSpec,
@@ -71,6 +74,80 @@ def test_load_csv_rejects_nonpositive_weight(tmp_path):
         load_csv(path, weight_column=1)
 
 
+def test_load_csv_weight_error_names_the_file_row(tmp_path):
+    path = _write(tmp_path, "w,x\n1,2\n\n0,3\n")
+    with pytest.raises(CsvFormatError, match=r"row 4: weight must be positive"):
+        load_csv(path, skip_header=True, weight_column=0)
+
+
+def test_load_csv_reports_the_first_bad_cell_before_the_column_count(tmp_path):
+    path = _write(tmp_path, "1,2\n3,oops,inf\n")
+    with pytest.raises(CsvFormatError, match=r"row 2, column 2: not a number: 'oops'"):
+        load_csv(path)
+    path = _write(tmp_path, "1,2\ninf,oops\n")
+    with pytest.raises(CsvFormatError, match=r"row 2, column 1: non-finite value"):
+        load_csv(path)
+
+
+def _outcome(loader, path, **kwargs):
+    """The table a loader returns as (rows, weights) bytes, or its error message."""
+    try:
+        raw = loader(path, **kwargs)
+    except CsvFormatError as error:
+        return str(error)
+    weights = None if raw.weights is None else (raw.weights.dtype, raw.weights.tobytes())
+    return raw.rows.dtype, raw.rows.shape, raw.rows.tobytes(), weights
+
+
+VALID_CELLS = ("1_0", " 2 ", '"3"', "-0", "0", "1e308", "+1e5", "-2.5", "0.1", "7")
+BAD_CELLS = ("nan", "inf", "-inf", "1e400", "oops", "", '"1,5"', '"4\n5"')
+CELLS = st.sampled_from(VALID_CELLS * 6 + BAD_CELLS) | st.floats().map(repr)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text: a header or not, blank lines, rows mostly of one width."""
+    width = draw(st.integers(1, 4))
+    lines = [draw(st.sampled_from(["x,y", "1,2", ""]))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+            continue
+        size = width if draw(st.integers(0, 3)) else draw(st.integers(1, 5))
+        lines.append(",".join(draw(st.lists(CELLS, min_size=size, max_size=size))))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=400,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    text=csv_texts(),
+    skip_header=st.booleans(),
+    weight_column=st.sampled_from([None, None, 0, 1, 3]),
+)
+def test_load_csv_matches_the_per_cell_reference(tmp_path, text, skip_header, weight_column):
+    path = _write(tmp_path, text)
+    kwargs = {"skip_header": skip_header, "weight_column": weight_column}
+    assert _outcome(load_csv, path, **kwargs) == _outcome(reference_load_csv, path, **kwargs)
+
+
+def test_load_csv_matches_the_reference_on_a_full_precision_table(tmp_path):
+    rng = np.random.default_rng(7)
+    table = np.column_stack(
+        [rng.integers(1, 4, size=500), np.exp(rng.normal(size=(500, 15))), rng.poisson(1.0, 500)]
+    )
+    path = str(tmp_path / "table.csv")
+    np.savetxt(path, table, fmt="%.17g", delimiter=",")
+    outcome = _outcome(load_csv, path, weight_column=0)
+    assert outcome == _outcome(reference_load_csv, path, weight_column=0)
+    np.testing.assert_array_equal(load_csv(path).rows, table)
+
+
 def test_load_csv_weight_column_bounds(tmp_path):
     path = _write(tmp_path, "1.0,2.0\n")
     with pytest.raises(CsvFormatError, match="out of range"):
@@ -104,6 +181,13 @@ def test_dedup_merge_is_bitwise_not_tolerance_based():
     near = 0.1 + 0.2  # differs from 0.3 in the last bit
     dataset = dedup_merge(RawTable(np.array([[0.3], [near]]), None))
     assert dataset.n == 2
+
+
+def test_dedup_merge_merges_rows_that_differ_only_in_a_signed_zero():
+    rows = np.array([[1.0, 0.0, 1.0], [1.0, -0.0, 1.0], [5.0, 5.0, 5.0]])
+    dataset = dedup_merge(RawTable(rows, np.array([1.0, 2.0, 4.0])))
+    np.testing.assert_array_equal(dataset.points, [[1.0, 0.0, 1.0], [5.0, 5.0, 5.0]])
+    np.testing.assert_array_equal(dataset.weights, [3.0, 4.0])
 
 
 def test_filter_domain_is_identity_for_unconstrained_divergences():

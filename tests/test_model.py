@@ -166,6 +166,20 @@ def test_clustering_loss_validates_inputs(counterexample):
         clustering_loss(positive, np.array([0, 1]), np.array([[1.0], [0.0]]), kl)
 
 
+def test_clustering_loss_can_skip_only_the_points_check():
+    kl = DivergenceSpec.kl()
+    positive = Dataset(np.array([[1.0], [2.0]]), np.ones(2))
+    labels, centers = np.array([0, 1]), np.array([[1.5], [2.0]])
+    assert clustering_loss(positive, labels, centers, kl, check_points=False) == clustering_loss(
+        positive, labels, centers, kl
+    )
+    with pytest.raises(DomainError, match="centers"):
+        clustering_loss(positive, labels, np.array([[1.0], [0.0]]), kl, check_points=False)
+    outside = Dataset(np.array([[-1.0], [2.0]]), np.ones(2))
+    with pytest.raises(DomainError, match="points"):
+        clustering_loss(outside, labels, centers, kl)
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError, match="pairwise distinct"):
         Dataset(np.array([[1.0], [1.0]]), np.ones(2))
