@@ -25,15 +25,15 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data_io import counterexample_instance, dedup_merge, filter_domain, load_csv, synth_uniform_grid
-from .divergence import (
-    ITAKURA_SAITO,
-    KL,
-    SQUARED_EUCLIDEAN,
-    SQUARED_MAHALANOBIS,
-    DivergenceSpec,
+from .data_io import (
+    counterexample_instance,
+    dedup_merge,
+    filter_domain,
+    load_csv,
     load_mahalanobis_csv,
+    synth_uniform_grid,
 )
+from .divergence import ITAKURA_SAITO, KL, SQUARED_EUCLIDEAN, SQUARED_MAHALANOBIS, DivergenceSpec
 from .engine import INITS, VARIANTS, EngineConfig, RunReport, init_centers, run
 from .model import Dataset, cluster_stats, clustering_loss
 from .verify import BRUTE_FORCE_LIMIT, brute_force_best, certify_c_local, certify_d_local

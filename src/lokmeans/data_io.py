@@ -10,7 +10,7 @@ from typing import NoReturn
 import numpy as np
 
 from .divergence import ITAKURA_SAITO, KL, DivergenceSpec
-from .model import Dataset
+from .model import Dataset, row_keys
 
 
 class CsvFormatError(ValueError):
@@ -75,6 +75,12 @@ def load_csv(path: str, skip_header: bool = False, weight_column: int | None = N
     return RawTable(rows, weights)
 
 
+def load_mahalanobis_csv(path: str) -> np.ndarray:
+    """Read a d x d matrix from a comma-separated file, in ``load_csv``'s
+    dialect and with its errors; ``DivergenceSpec`` checks the matrix."""
+    return load_csv(path).rows
+
+
 def _raise_bad_cell(path: str, row_index: int, row: list[str]) -> NoReturn:
     """Raise the error for the first cell of ``row`` that is not a finite number."""
     for col_index, cell in enumerate(row, start=1):
@@ -92,10 +98,12 @@ def _raise_bad_cell(path: str, row_index: int, row: list[str]) -> NoReturn:
 def dedup_merge(raw: RawTable) -> Dataset:
     """Merge rows of equal value, summing weights, keeping first-seen order.
 
-    Rows are compared bitwise after ``-0.0`` is normalised to ``+0.0``, so
-    two rows merge exactly when ``Dataset`` would call them equal.
+    Rows are compared by ``row_keys``, so two rows merge exactly when
+    ``Dataset`` would call them equal; a merged row keeps ``+0.0`` for
+    ``-0.0``.
     """
-    rows = np.ascontiguousarray(raw.rows, dtype=np.float64) + 0.0
+    keys = row_keys(raw.rows)
+    rows = keys.view(np.float64).reshape(np.shape(raw.rows))
     weights = (
         np.ones(rows.shape[0], dtype=np.float64)
         if raw.weights is None
@@ -104,8 +112,8 @@ def dedup_merge(raw: RawTable) -> Dataset:
     index: dict[bytes, int] = {}
     unique_rows: list[np.ndarray] = []
     merged: list[float] = []
-    for row, weight in zip(rows, weights):
-        key = row.tobytes()
+    for row, key, weight in zip(rows, keys, weights):
+        key = key.tobytes()
         slot = index.get(key)
         if slot is None:
             index[key] = len(unique_rows)

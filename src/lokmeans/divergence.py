@@ -13,8 +13,10 @@ the generic phi / grad-phi expression; the equivalence of the two is
 covered by tests. ``pairwise`` instead splits every divergence into a
 row term, a column term and one matrix product (Banerjee et al.,
 *Clustering with Bregman Divergences*, JMLR 2005), so an (N, K) matrix
-costs one GEMM and no (N, K, d) scratch. ``phi`` evaluates the generating
-function itself, for the d-local certificate's Bregman-information form.
+costs one GEMM and no (N, K, d) scratch; ``point_terms`` holds the part
+that depends on the points alone, for a caller that reuses it. ``phi``
+evaluates the generating function itself, for the d-local certificate's
+Bregman-information form.
 """
 
 from __future__ import annotations
@@ -96,12 +98,6 @@ class DivergenceSpec:
         return cls(ITAKURA_SAITO)
 
 
-def load_mahalanobis_csv(path: str) -> np.ndarray:
-    """Read a d x d matrix from a comma-separated file."""
-    matrix = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    return matrix
-
-
 def domain_contains(spec: DivergenceSpec, value: np.ndarray, require_interior: bool = False) -> bool:
     """Whether ``value`` lies in dom(phi) (or its interior)."""
     v = np.asarray(value, dtype=np.float64)
@@ -174,7 +170,50 @@ def rowwise(spec: DivergenceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _closed_form(spec, np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
 
 
-def pairwise(spec: DivergenceSpec, points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class PointTerms:
+    """The point side of ``pairwise`` for one point set: it depends on the
+    points alone, so a run computes it once and passes it to every call.
+
+    ``mean`` is the shift of the quadratic kinds (None otherwise), ``operand``
+    the matrix the centers' side multiplies (the shifted points, times A for
+    Mahalanobis) and ``row`` the per-point term. ``spec`` and ``points`` are
+    the arguments it was computed from.
+    """
+
+    spec: DivergenceSpec
+    points: np.ndarray
+    mean: np.ndarray | None
+    operand: np.ndarray
+    row: np.ndarray
+
+
+def point_terms(spec: DivergenceSpec, points: np.ndarray) -> PointTerms:
+    """The point side of ``pairwise`` for ``points``: its mean shift, GEMM
+    operand and row term."""
+    x = np.asarray(points, dtype=np.float64)
+    mean = None
+    if spec.kind in QUADRATIC_KINDS:
+        mean = x.mean(axis=0)
+        shifted = x - mean
+        x = shifted if spec.kind == SQUARED_EUCLIDEAN else shifted @ spec.matrix
+        row = np.einsum("ij,ij->i", x, shifted)
+    elif spec.kind == KL:
+        positive = x > 0.0
+        row = np.where(positive, x * np.log(np.where(positive, x, 1.0)), 0.0).sum(axis=1)
+        row -= x.sum(axis=1)
+    else:
+        row = -np.log(x).sum(axis=1) - x.shape[1]
+    return PointTerms(spec, points, mean, x, row)
+
+
+def pairwise(
+    spec: DivergenceSpec,
+    points: np.ndarray,
+    centers: np.ndarray,
+    *,
+    terms: PointTerms | None = None,
+) -> np.ndarray:
     """(N, K) matrix of divergences from each point to each center.
 
     Evaluates ``D(X, C) = row(X) + col(C) - X @ G(C).T``, clamped at 0:
@@ -191,33 +230,29 @@ def pairwise(spec: DivergenceSpec, points: np.ndarray, centers: np.ndarray) -> n
     Assumes in-domain inputs, like ``rowwise``; a non-finite center yields
     a non-finite column.
 
+    ``terms``, from ``point_terms(spec, points)`` with these very objects,
+    skips recomputing the point side; the result is the same to the bit.
+
     The result is center-major: the transpose of a C-contiguous (K, N)
     product ``G(C) @ X.T``, so a min or argmax over the centers of each
     point reads contiguous memory.
     """
-    x = np.asarray(points, dtype=np.float64)
+    if terms is None:
+        terms = point_terms(spec, points)
+    elif terms.spec is not spec or terms.points is not points:
+        raise ValueError("point terms were computed for another divergence or point set")
     c = np.asarray(centers, dtype=np.float64)
     if spec.kind in QUADRATIC_KINDS:
-        mean = x.mean(axis=0)
-        x = x - mean
-        c = c - mean
-        if spec.kind == SQUARED_EUCLIDEAN:
-            xa, ca = x, c
-        else:
-            xa, ca = x @ spec.matrix, c @ spec.matrix
-        out = (-2.0 * c) @ xa.T
-        row = np.einsum("ij,ij->i", xa, x)
+        c = c - terms.mean
+        ca = c if spec.kind == SQUARED_EUCLIDEAN else c @ spec.matrix
+        out = (-2.0 * c) @ terms.operand.T
         col = np.einsum("ij,ij->i", ca, c)
     elif spec.kind == KL:
-        out = -np.log(c) @ x.T
-        positive = x > 0.0
-        row = np.where(positive, x * np.log(np.where(positive, x, 1.0)), 0.0).sum(axis=1)
-        row -= x.sum(axis=1)
+        out = -np.log(c) @ terms.operand.T
         col = c.sum(axis=1)
     else:
-        out = (1.0 / c) @ x.T
-        row = -np.log(x).sum(axis=1) - x.shape[1]
+        out = (1.0 / c) @ terms.operand.T
         col = np.log(c).sum(axis=1)
-    out += row[None, :]
+    out += terms.row[None, :]
     out += col[:, None]
     return np.maximum(out, 0.0, out=out).T

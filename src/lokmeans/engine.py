@@ -22,13 +22,23 @@ from functools import partial
 import numpy as np
 
 from . import localopt
-from .divergence import DivergenceSpec, DomainError, domain_contains, pairwise, rowwise
+from .divergence import (
+    DivergenceSpec,
+    DomainError,
+    PointTerms,
+    domain_contains,
+    pairwise,
+    point_terms,
+    rowwise,
+)
 from .model import (
     ClusterStats,
     Dataset,
+    check_tolerance,
     cluster_stats,
     clustering_loss,
     origin_loss,
+    weighted_points,
     within_tie_band,
 )
 
@@ -59,8 +69,7 @@ class EngineConfig:
             raise ValueError(f"unknown init {self.init!r}; expected one of {INITS}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.tie_tolerance < 0.0:
-            raise ValueError("tolerances must be non-negative")
+        check_tolerance("tie_tolerance", self.tie_tolerance)
         if self.initial_centers is not None:
             centers = np.asarray(self.initial_centers, dtype=np.float64)
             if centers.ndim != 2 or centers.shape[0] != self.k:
@@ -170,8 +179,10 @@ def _assign_with_divergences(
     centers: np.ndarray,
     spec: DivergenceSpec,
     tie_tolerance: float,
+    *,
+    terms: PointTerms | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    divs = pairwise(spec, dataset.points, centers)
+    divs = pairwise(spec, dataset.points, centers, terms=terms)
     undefined = ~np.isfinite(centers).all(axis=1)
     if undefined.any():
         divs[:, undefined] = np.inf
@@ -224,16 +235,22 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
     only and then just recomputes the centers before each step. The loss
     trajectory records one value per iteration and is strictly decreasing:
     an iteration that changes nothing ends the run instead.
+
+    The point side of ``pairwise`` and the weighted points of
+    ``cluster_stats`` depend on the dataset alone: each is computed once per
+    run and passed to every call.
     """
     validate_run_inputs(dataset, config)
     start = time.perf_counter()
+    spec = config.divergence
+    terms = point_terms(spec, dataset.points)
+    weighted = weighted_points(dataset.points, dataset.weights)
     rng = np.random.default_rng(config.seed)
     if config.initial_centers is not None:
         centers = np.array(config.initial_centers, dtype=np.float64)
     else:
         centers = init_centers(dataset, config.k, config.init, config.divergence, rng)
 
-    spec = config.divergence
     # Built per run from localopt's attributes, so that a wrapper set there
     # (the traced benchmark sets one) sees every step. The move steps'
     # rounding floor needs the run-invariant origin loss: computed once.
@@ -256,8 +273,10 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
     while iterations < config.max_iterations:
         iterations += 1
         if labels is None or sweeps:
-            fresh, divs = _assign_with_divergences(dataset, centers, spec, config.tie_tolerance)
-            stats = cluster_stats(dataset, fresh, config.k)
+            fresh, divs = _assign_with_divergences(
+                dataset, centers, spec, config.tie_tolerance, terms=terms
+            )
+            stats = cluster_stats(dataset, fresh, config.k, weighted=weighted)
             repaired = repair_empty_clusters(dataset, fresh, stats, centers)
             repairs += repaired
             # At a fixed point of the sweep the step gets ``divs`` as computed
@@ -272,7 +291,7 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
             # No sweep: refresh centers and divergences from the moved stats.
             fixed = True
             centers = stats.centers()
-            divs = pairwise(spec, dataset.points, centers)
+            divs = pairwise(spec, dataset.points, centers, terms=terms)
         if fixed:
             if step is None or not step(dataset, labels, stats, centers, spec, divs=divs):
                 termination = TERMINATION_CONVERGED

@@ -47,7 +47,9 @@ class Dataset:
             raise ValueError("points contain non-finite values")
         if not np.isfinite(weights).all() or (weights <= 0.0).any():
             raise ValueError("weights must be finite and strictly positive")
-        if np.unique(points, axis=0).shape[0] != points.shape[0]:
+        keys = row_keys(points)
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("points must be pairwise distinct; merge duplicates first")
         points.flags.writeable = False
         weights.flags.writeable = False
@@ -65,6 +67,23 @@ class Dataset:
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
+
+
+def row_keys(points: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a finite (N, d) array: two keys are equal
+    exactly when the rows are equal in value.
+
+    The keys are the bytes of a fresh copy of the rows in which ``-0.0``
+    is ``+0.0``; ``keys.view(np.float64)`` reads that copy back.
+    """
+    rows = np.ascontiguousarray(points, dtype=np.float64) + 0.0
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is finite and non-negative."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"tolerances must be finite and non-negative, got {name} = {value}")
 
 
 def check_labels(labels: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -109,25 +128,45 @@ class ClusterStats:
         self.member_count[dst] += 1
 
 
-def weighted_sums(points: np.ndarray, weights: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def weighted_points(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(d, N) products ``w x``, coordinate-major, so that each coordinate's
+    ``bincount`` in ``weighted_sums`` reads contiguous memory."""
+    n, d = points.shape
+    return np.multiply(points.T, weights, out=np.empty((d, n)))
+
+
+def weighted_sums(
+    points: np.ndarray,
+    weights: np.ndarray,
+    labels: np.ndarray,
+    k: int,
+    *,
+    weighted: np.ndarray | None = None,
+) -> np.ndarray:
     """(K, d) per-cluster sums of ``w x``, each accumulated in point order.
 
-    The products are formed coordinate-major, so each coordinate's
-    ``bincount`` reads contiguous memory.
+    ``weighted`` may carry ``weighted_points(points, weights)``, computed
+    once by a caller that sums the same points under many labelings.
     """
-    n, d = points.shape
-    weighted = np.multiply(points.T, weights, out=np.empty((d, n)))
+    d = points.shape[1]
+    if weighted is None:
+        weighted = weighted_points(points, weights)
+    elif weighted.shape != points.shape[::-1]:
+        raise ValueError(f"weighted points shape {weighted.shape} does not match {points.shape}")
     sums = np.empty((k, d), dtype=np.float64)
     for j in range(d):
         sums[:, j] = np.bincount(labels, weights=weighted[j], minlength=k)
     return sums
 
 
-def cluster_stats(dataset: Dataset, labels: np.ndarray, k: int) -> ClusterStats:
+def cluster_stats(
+    dataset: Dataset, labels: np.ndarray, k: int, *, weighted: np.ndarray | None = None
+) -> ClusterStats:
+    """Fresh statistics of ``labels``; ``weighted`` as in ``weighted_sums``."""
     labels = check_labels(labels, dataset.n, k)
     weight_sum = np.bincount(labels, weights=dataset.weights, minlength=k)
     member_count = np.bincount(labels, minlength=k).astype(np.int64)
-    coord_sum = weighted_sums(dataset.points, dataset.weights, labels, k)
+    coord_sum = weighted_sums(dataset.points, dataset.weights, labels, k, weighted=weighted)
     return ClusterStats(weight_sum, coord_sum, member_count)
 
 

@@ -33,6 +33,7 @@ from .model import (
     Dataset,
     EmptyClusterError,
     check_labels,
+    check_tolerance,
     cluster_stats,
     origin_loss,
     rounding_floor,
@@ -219,6 +220,8 @@ def certify_c_local(
     pairwise-distinct centers. Duplicate centers make the criterion
     inapplicable, reported as not-local with a note.
     """
+    check_tolerance("tie_tolerance", tie_tolerance)
+    check_tolerance("center_tolerance", center_tolerance)
     centers = np.asarray(centers, dtype=np.float64)
     k = centers.shape[0]
     labels = check_labels(labels, dataset.n, k)

@@ -147,6 +147,15 @@ def reference_load_csv(path, skip_header=False, weight_column=None):
     return RawTable(rows, weights)
 
 
+def reference_rows_distinct(points):
+    """Whether the rows of ``points`` are pairwise distinct in value.
+
+    The reference for ``Dataset``'s distinctness check: ``np.unique`` over
+    rows compares coordinates as numbers, so ``-0.0`` equals ``+0.0``.
+    """
+    return np.unique(points, axis=0).shape[0] == points.shape[0]
+
+
 def random_spd(rng, d):
     """A random symmetric positive definite matrix of order d."""
     basis = rng.normal(size=(d, d))

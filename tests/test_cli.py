@@ -174,6 +174,24 @@ def test_mahalanobis_run_with_matrix_file(tmp_path, capsys):
     assert payload["report"]["termination"] == "converged"
 
 
+def test_mahalanobis_matrix_file_uses_the_data_dialect(tmp_path, capsys):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text('"2.0", 0\n0,1\n')
+    args = ["run", "--synth", "n=30,d=2", "--k", "3", "--divergence", "mahalanobis"]
+    assert main(args + ["--mahalanobis-matrix", str(matrix), "--json"]) == 0
+    assert _json_output(capsys)[0]["report"]["termination"] == "converged"
+    matrix.write_text("2,0\n0,1 # id\n")
+    assert main(args + ["--mahalanobis-matrix", str(matrix)]) == 2
+    assert "row 2, column 2: not a number: '1 # id'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_run_rejects_a_non_finite_tie_tolerance(bad, capsys):
+    code = main(["run", "--synth", "n=50,d=2", "--k", "3", "--tie-tol", bad, "--json"])
+    assert code == 2
+    assert "tolerances must be finite and non-negative" in capsys.readouterr().err
+
+
 def test_bench_counterexample_frozen_summary(capsys):
     code = main(
         [
@@ -358,6 +376,14 @@ def test_verify_flags_the_stalled_labels(tmp_path, capsys):
     assert payload["c_local"]["kind"] == "not-local"
     assert payload["d_local"]["kind"] == "not-local"
     assert payload["gap_to_global"] == pytest.approx(8.5 - 31.0 / 6.0, abs=1e-9)
+
+
+def test_verify_rejects_a_non_finite_tie_tolerance(tmp_path, capsys):
+    data = _write_counterexample_csv(tmp_path)
+    labels = _write_labels(tmp_path, [0, 0, 1, 1, 1])
+    code = main(["verify", "--data", data, "--labels", labels, "--tie-tol", "nan"])
+    assert code == 2
+    assert "tolerances must be finite and non-negative" in capsys.readouterr().err
 
 
 def test_verify_rejects_wrong_label_count(tmp_path, capsys):

@@ -15,7 +15,7 @@ from lokmeans import (
     load_csv,
     synth_uniform_grid,
 )
-from lokmeans.data_io import RawTable
+from lokmeans.data_io import RawTable, load_mahalanobis_csv
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -158,6 +158,26 @@ def test_load_csv_requires_coordinates_beyond_weight(tmp_path):
     path = _write(tmp_path, "1.0\n2.0\n")
     with pytest.raises(CsvFormatError, match="no coordinate columns"):
         load_csv(path, weight_column=0)
+
+
+def test_load_mahalanobis_csv_reads_full_precision_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(12)
+    basis = rng.normal(size=(16, 16))
+    matrix = basis @ basis.T + 16 * np.eye(16)
+    path = str(tmp_path / "matrix.csv")
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
+    loaded = load_mahalanobis_csv(path)
+    assert loaded.dtype == np.float64
+    assert loaded.tobytes() == matrix.tobytes()
+
+
+def test_load_mahalanobis_csv_errors_name_the_file_row_and_column(tmp_path):
+    path = _write(tmp_path, "1,0\n\n0,oops\n", name="matrix.csv")
+    with pytest.raises(CsvFormatError, match=r"row 3, column 2: not a number: 'oops'"):
+        load_mahalanobis_csv(path)
+    path = _write(tmp_path, "1,0\n0\n", name="matrix.csv")
+    with pytest.raises(CsvFormatError, match=r"row 2: expected 2 columns, got 1"):
+        load_mahalanobis_csv(path)
 
 
 def test_dedup_merge_sums_weights_in_first_seen_order():

@@ -10,14 +10,15 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import ALL_KINDS, random_spd, spec_for
 from lokmeans import DivergenceSpec, DomainError, evaluate, synth_uniform_grid
+from lokmeans.data_io import load_mahalanobis_csv
 from lokmeans.divergence import (
     ITAKURA_SAITO,
     KL,
     SQUARED_EUCLIDEAN,
     SQUARED_MAHALANOBIS,
     domain_contains,
-    load_mahalanobis_csv,
     pairwise,
+    point_terms,
     rowwise,
 )
 
@@ -179,6 +180,41 @@ def test_pairwise_keeps_precision_far_from_origin(offset):
         want = np.array([[evaluate(spec, p, c) for c in centers] for p in points])
         got = pairwise(spec, points, centers)
         assert np.abs(got - want).max() <= 16 * np.finfo(np.float64).eps * want.max()
+
+
+def _bits(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e5])
+def test_pairwise_with_point_terms_is_bit_identical(offset):
+    rng = np.random.default_rng(41)
+    for kind in ALL_KINDS:
+        spec = spec_for(kind, rng, 3)
+        points = rng.normal(size=(60, 3))
+        if kind in (KL, ITAKURA_SAITO):
+            points = np.exp(points)
+        else:
+            points += offset
+        if kind == KL:
+            points[rng.random(points.shape) < 0.3] = 0.0
+        centers = points[:5] + rng.uniform(0.01, 0.5, size=(5, 3))
+        centers[2] = np.nan  # an undefined center keeps its column
+        terms = point_terms(spec, points)
+        for _ in range(2):  # the terms are reused, never changed
+            want = pairwise(spec, points, centers)
+            assert _bits(pairwise(spec, points, centers, terms=terms)) == _bits(want)
+
+
+def test_pairwise_refuses_terms_of_other_points_or_divergence():
+    points = np.array([[1.0, 2.0], [3.0, 1.0]])
+    centers = np.array([[1.0, 1.0]])
+    sqe = DivergenceSpec.squared_euclidean()
+    terms = point_terms(sqe, points)
+    with pytest.raises(ValueError, match="point terms"):
+        pairwise(sqe, points.copy(), centers, terms=terms)
+    with pytest.raises(ValueError, match="point terms"):
+        pairwise(DivergenceSpec.kl(), points, centers, terms=terms)
 
 
 def test_spd_validation_rejects_asymmetric_matrix():

@@ -16,6 +16,7 @@ from lokmeans import (
     repair_empty_clusters,
     run,
 )
+from lokmeans import engine
 
 SQE = DivergenceSpec.squared_euclidean()
 
@@ -254,6 +255,9 @@ def test_config_validation():
         EngineConfig(k=2, divergence=SQE, max_iterations=0)
     with pytest.raises(ValueError, match="tolerances"):
         EngineConfig(k=2, divergence=SQE, tie_tolerance=-1e-9)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerances must be finite"):
+            EngineConfig(k=2, divergence=SQE, tie_tolerance=bad)
     with pytest.raises(ValueError, match="initial_centers"):
         EngineConfig(k=2, divergence=SQE, initial_centers=np.zeros((3, 1)))
 
@@ -286,3 +290,29 @@ def test_run_rejects_initial_centers_that_do_not_fit_the_dataset(counterexample)
     # Duplicate centers stay legal; the empty-cluster repair handles them.
     config = EngineConfig(k=2, divergence=DivergenceSpec.kl(), initial_centers=[[2.0], [2.0]])
     assert run(positive, config).termination == "converged"
+
+
+@pytest.mark.parametrize("variant", ["none", "d-lo", "pnx"])
+def test_run_reaches_pairwise_and_cluster_stats_through_engine(variant, monkeypatch):
+    # The traced benchmark wraps both at engine's bindings and reads the
+    # points and centers from argument positions 1 and 2.
+    seen = {"pairwise": [], "cluster_stats": []}
+
+    def recorded(name):
+        original = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            seen[name].append(args)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(engine, name, recorded(name))
+    rng = np.random.default_rng(3)
+    dataset = Dataset(rng.normal(size=(40, 2)), np.ones(40))
+    report = run(dataset, EngineConfig(k=4, divergence=SQE, variant=variant, seed=1))
+    assert len(seen["pairwise"]) == report.iterations
+    assert len(seen["cluster_stats"]) == (1 if variant == "pnx" else report.iterations)
+    for args in seen["pairwise"]:
+        assert args[1] is dataset.points and args[2].shape == (4, 2)

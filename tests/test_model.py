@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import ALL_KINDS, random_instance, spec_for
+from conftest import ALL_KINDS, random_instance, reference_rows_distinct, spec_for
 from lokmeans import (
     Dataset,
     DivergenceSpec,
@@ -14,7 +17,7 @@ from lokmeans import (
     incremental_center_update,
     optimal_centers,
 )
-from lokmeans.model import check_labels
+from lokmeans.model import check_labels, weighted_points
 
 KMEANS_LABELS = np.array([0, 0, 0, 1, 1])
 ESCAPED_LABELS = np.array([0, 0, 1, 1, 1])
@@ -74,6 +77,29 @@ def test_cluster_stats_totals():
             rtol=1e-12,
             atol=1e-12,
         )
+
+
+def test_cluster_stats_with_weighted_points_is_bit_identical():
+    rng = np.random.default_rng(17)
+    for offset in (0.0, 1e5):
+        dataset = Dataset(rng.normal(size=(200, 5)) + offset, rng.uniform(0.5, 3.0, size=200))
+        weighted = weighted_points(dataset.points, dataset.weights)
+        for k in (1, 4, 9):
+            labels = rng.integers(0, k, size=200)
+            want = cluster_stats(dataset, labels, k)
+            got = cluster_stats(dataset, labels, k, weighted=weighted)
+            for field in ("weight_sum", "coord_sum", "member_count"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_cluster_stats_checks_labels_and_weighted_points():
+    dataset = Dataset(np.array([[1.0], [2.0], [4.0]]), np.ones(3))
+    weighted = weighted_points(dataset.points, dataset.weights)
+    with pytest.raises(ValueError, match=r"lie in \[0, 2\)"):
+        cluster_stats(dataset, np.array([0, 1, 2]), 2, weighted=weighted)
+    with pytest.raises(ValueError, match="weighted points shape"):
+        cluster_stats(dataset, np.array([0, 1, 1]), 2, weighted=weighted.T)
 
 
 def test_stats_move_matches_recount(counterexample):
@@ -191,6 +217,32 @@ def test_dataset_validation():
         Dataset(np.array([1.0, 2.0]), np.ones(2))
     with pytest.raises(ValueError, match="weights shape"):
         Dataset(np.array([[1.0], [2.0]]), np.ones(3))
+
+
+# Few distinct values, both signed zeros among them: most draws hold rows
+# that are equal in value, and some only through a signed zero.
+TIE_HEAVY_ROWS = st.tuples(st.integers(1, 12), st.integers(1, 3)).flatmap(
+    lambda shape: hnp.arrays(
+        np.float64, shape, elements=st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, 1e5])
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(TIE_HEAVY_ROWS)
+def test_dataset_distinctness_matches_value_equality(points):
+    if reference_rows_distinct(points):
+        assert Dataset(points, np.ones(points.shape[0])).n == points.shape[0]
+    else:
+        with pytest.raises(ValueError, match="pairwise distinct; merge duplicates first"):
+            Dataset(points, np.ones(points.shape[0]))
+
+
+def test_dataset_treats_signed_zeros_as_equal():
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Dataset(np.array([[1.0, 0.0], [1.0, -0.0]]), np.ones(2))
+    dataset = Dataset(np.array([[-0.0, 1.0], [1.0, 0.0]]), np.ones(2))
+    assert np.signbit(dataset.points[0, 0])  # the stored points are unchanged
 
 
 def test_dataset_is_read_only(counterexample):

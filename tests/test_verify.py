@@ -125,6 +125,15 @@ def test_certify_c_local_rejects_stale_centers(counterexample):
         certify_c_local(dataset, KMEANS_LABELS, initial, SQE)
 
 
+@pytest.mark.parametrize("name", ["tie_tolerance", "center_tolerance"])
+def test_certify_c_local_rejects_non_finite_tolerances(name, counterexample):
+    dataset, _ = counterexample
+    centers = optimal_centers(dataset, ESCAPED_LABELS, 2)
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match=f"finite and non-negative, got {name}"):
+            certify_c_local(dataset, ESCAPED_LABELS, centers, SQE, **{name: bad})
+
+
 def test_certify_c_local_flags_duplicate_centers():
     dataset = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]), np.ones(4))
     labels = np.array([1, 0, 0, 1])
