@@ -1,101 +1,28 @@
-"""Weighted K-means over Bregman divergences with local-optimality guarantees."""
+"""Weighted K-means over Bregman divergences with local-optimality guarantees.
 
-from .divergence import (
-    ITAKURA_SAITO,
-    KL,
-    SQUARED_EUCLIDEAN,
-    SQUARED_MAHALANOBIS,
-    DivergenceSpec,
-    DomainError,
-    domain_contains,
-    evaluate,
-)
-from .model import (
-    ClusterStats,
-    Dataset,
-    EmptyClusterError,
-    cluster_stats,
-    clustering_loss,
-    incremental_center_update,
-    optimal_centers,
-)
-from .engine import (
-    EngineConfig,
-    RunReport,
-    assign_step,
-    init_centers,
-    repair_empty_clusters,
-    run,
-)
-from .localopt import (
-    MoveDelta,
-    c_lo_step,
-    d_lo_step,
-    delta_move,
-    min_d_lo_step,
-    move_cost_matrix,
-    pnx_run,
-)
-from .verify import (
-    Certificate,
-    adjacent_assignments,
-    brute_force_best,
-    certify_c_local,
-    certify_d_local,
-    loss_at_optimal_centers,
-)
-from .data_io import (
-    CsvFormatError,
-    RawTable,
-    counterexample_instance,
-    dedup_merge,
-    filter_domain,
-    load_csv,
-    synth_uniform_grid,
-)
+The top level holds what a run and its certificates need. Everything else
+lives in its submodule: ``divergence`` (the four divergences), ``model``
+(datasets and cluster statistics), ``engine`` (seeding and the outer
+loop), ``localopt`` (move costs and escape steps), ``verify``
+(certificates and brute force), ``data_io`` (CSV loading, merging,
+synthetic data) and ``experiments`` (replicated benchmarks and sweeps).
+"""
+
+from .divergence import DivergenceSpec
+from .model import Dataset
+from .engine import EngineConfig, RunReport, run
+from .verify import Certificate, brute_force_best, certify_c_local, certify_d_local
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ITAKURA_SAITO",
-    "KL",
-    "SQUARED_EUCLIDEAN",
-    "SQUARED_MAHALANOBIS",
     "Certificate",
-    "ClusterStats",
-    "CsvFormatError",
     "Dataset",
     "DivergenceSpec",
-    "DomainError",
-    "EmptyClusterError",
     "EngineConfig",
-    "MoveDelta",
-    "RawTable",
     "RunReport",
-    "adjacent_assignments",
-    "assign_step",
     "brute_force_best",
-    "c_lo_step",
     "certify_c_local",
     "certify_d_local",
-    "cluster_stats",
-    "clustering_loss",
-    "counterexample_instance",
-    "d_lo_step",
-    "dedup_merge",
-    "delta_move",
-    "domain_contains",
-    "evaluate",
-    "filter_domain",
-    "incremental_center_update",
-    "init_centers",
-    "load_csv",
-    "loss_at_optimal_centers",
-    "min_d_lo_step",
-    "move_cost_matrix",
-    "optimal_centers",
-    "pnx_run",
-    "repair_empty_clusters",
     "run",
-    "synth_uniform_grid",
 ]

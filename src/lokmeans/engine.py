@@ -163,17 +163,6 @@ def init_centers(
     return dataset.points[chosen].copy()
 
 
-def assign_step(
-    dataset: Dataset,
-    centers: np.ndarray,
-    spec: DivergenceSpec,
-    tie_tolerance: float = 1e-9,
-) -> np.ndarray:
-    """Assign each point to its nearest center, smallest index on ties."""
-    labels, _ = _assign_with_divergences(dataset, centers, spec, tie_tolerance)
-    return labels
-
-
 def _assign_with_divergences(
     dataset: Dataset,
     centers: np.ndarray,
@@ -182,6 +171,7 @@ def _assign_with_divergences(
     *,
     terms: PointTerms | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-center labels (smallest index within the tie band) and the divergences."""
     divs = pairwise(spec, dataset.points, centers, terms=terms)
     undefined = ~np.isfinite(centers).all(axis=1)
     if undefined.any():

@@ -42,6 +42,7 @@ from .divergence import QUADRATIC_KINDS, DivergenceSpec, pairwise, rowwise
 from .model import (
     ClusterStats,
     Dataset,
+    check_tolerance,
     incremental_center_update,
     origin_loss,
     rank_one_shift,
@@ -223,6 +224,7 @@ def c_lo_step(
     exists, which certifies the fixed point cannot be escaped this way.
     Mutates labels, stats, and centers in place when a move is made.
     """
+    check_tolerance("tie_tolerance", tie_tolerance)
     if divs is None:
         divs = pairwise(spec, dataset.points, centers)
     within = within_tie_band(divs, tie_tolerance)

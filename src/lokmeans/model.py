@@ -170,11 +170,6 @@ def cluster_stats(
     return ClusterStats(weight_sum, coord_sum, member_count)
 
 
-def optimal_centers(dataset: Dataset, labels: np.ndarray, k: int) -> np.ndarray:
-    """Weighted mean of each cluster; raises EmptyClusterError on empty ones."""
-    return cluster_stats(dataset, labels, k).centers()
-
-
 def clustering_loss(
     dataset: Dataset,
     labels: np.ndarray,

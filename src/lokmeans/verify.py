@@ -14,7 +14,6 @@ cluster nearest-center ties, no empty clusters, pairwise-distinct centers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -66,18 +65,6 @@ class Certificate:
     worst_delta: float
     tie_count: int
     note: str = ""
-
-
-def adjacent_assignments(labels: np.ndarray, k: int) -> Iterator[np.ndarray]:
-    """All assignments differing in exactly one label, point-major order."""
-    labels = np.asarray(labels)
-    for point in range(labels.shape[0]):
-        for dst in range(k):
-            if dst == labels[point]:
-                continue
-            moved = labels.copy()
-            moved[point] = dst
-            yield moved
 
 
 def loss_at_optimal_centers(

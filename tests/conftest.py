@@ -7,16 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lokmeans import Dataset, DivergenceSpec, cluster_stats, counterexample_instance
+from lokmeans import Dataset, DivergenceSpec
 from lokmeans.divergence import (
     ITAKURA_SAITO,
     KL,
     SQUARED_EUCLIDEAN,
     SQUARED_MAHALANOBIS,
 )
-from lokmeans.data_io import CsvFormatError, RawTable
+from lokmeans.data_io import CsvFormatError, RawTable, counterexample_instance
 from lokmeans.localopt import MoveDelta
-from lokmeans.model import EmptyClusterError, origin_loss, rounding_floor
+from lokmeans.model import EmptyClusterError, cluster_stats, origin_loss, rounding_floor
 from lokmeans.verify import D_LOCAL, NOT_LOCAL, Certificate, loss_at_optimal_centers
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -58,6 +58,17 @@ def exact_sqe_loss(dataset, labels):
         for x, w in members:
             total += w * sum((xj - cj) ** 2 for xj, cj in zip(x, center))
     return total
+
+
+def adjacent_assignments(labels, k):
+    """All labelings that differ from ``labels`` in exactly one point, point-major."""
+    labels = np.asarray(labels)
+    for point in range(labels.shape[0]):
+        for dst in range(k):
+            if dst != labels[point]:
+                moved = labels.copy()
+                moved[point] = dst
+                yield moved
 
 
 def exhaustive_d_local(dataset, labels, k, spec):

@@ -20,22 +20,13 @@ import numpy as np
 import pytest
 
 from conftest import ALL_KINDS, random_instance, spec_for
-from lokmeans import (
-    DivergenceSpec,
-    EngineConfig,
-    brute_force_best,
-    certify_d_local,
-    cluster_stats,
-    dedup_merge,
-    delta_move,
-    incremental_center_update,
-    init_centers,
-    load_csv,
-    loss_at_optimal_centers,
-    run,
-    synth_uniform_grid,
-)
-from lokmeans.cli import run_bench, run_counterexample
+from lokmeans import DivergenceSpec, EngineConfig, brute_force_best, certify_d_local, run
+from lokmeans.data_io import dedup_merge, load_csv, synth_uniform_grid
+from lokmeans.engine import init_centers
+from lokmeans.experiments import run_bench, run_counterexample
+from lokmeans.localopt import delta_move
+from lokmeans.model import cluster_stats, incremental_center_update
+from lokmeans.verify import loss_at_optimal_centers
 
 SQE = DivergenceSpec.squared_euclidean()
 ESCAPE_VARIANTS = ("c-lo", "d-lo", "min-d-lo")

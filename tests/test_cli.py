@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from lokmeans.cli import BENCH_COLUMNS, SWEEP_METRICS, _jsonable, main
+from lokmeans.cli import BENCH_COLUMNS, _jsonable, main
+from lokmeans.experiments import IMPROVEMENT_METRICS
 
 
 def _json_output(capsys):
@@ -105,6 +106,12 @@ def test_run_merges_rows_that_differ_only_in_a_signed_zero(tmp_path, capsys):
     payload, _ = _json_output(capsys)
     assert payload["dataset"]["n"] == 2
     assert payload["dataset"]["total_weight"] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("synth", ["n=5,n=60,d=2", "n=abc,d=2", "n=40,d=2,d=3", "n=40"])
+def test_run_rejects_a_malformed_synth_spec(synth, capsys):
+    assert main(["run", "--synth", synth, "--k", "2"]) == 2
+    assert f"error: --synth expects n=<N>,d=<D>, got {synth!r}" in capsys.readouterr().err
 
 
 def test_run_requires_a_dataset(capsys):
@@ -225,6 +232,32 @@ def test_bench_counterexample_frozen_summary(capsys):
     assert len(payload["records"]) == 2
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--synth", "n=100,d=3"], "--synth"),
+        (["--data", "points.csv"], "--data"),
+        (["--k", "5"], "--k"),
+        (["--divergence", "kl"], "--divergence"),
+    ],
+)
+def test_bench_counterexample_rejects_dataset_and_model_flags(extra, flag, capsys):
+    argv = ["bench", "--counterexample", "--variants", "d-lo", "--replicates", "2"]
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert f"{flag} does not apply" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("variants", ["d-lo,d-lo", "none,none", "d-lo,none,d-lo"])
+def test_bench_rejects_a_repeated_variant(variants, capsys):
+    argv = ["bench", "--synth", "n=40,d=1", "--k", "3", "--replicates", "2"]
+    assert main(argv + ["--variants", variants]) == 2
+    captured = capsys.readouterr()
+    assert f"each variant may be listed once, got {variants}" in captured.err
+    assert captured.out == ""
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
@@ -311,7 +344,7 @@ def test_sweep_json_matrices(capsys):
     payload, _ = _json_output(capsys)
     assert payload["n_grid"] == [20, 40]
     assert payload["k_grid"] == [2, 3]
-    for metric in SWEEP_METRICS:
+    for metric in IMPROVEMENT_METRICS:
         matrix = payload[metric]
         assert len(matrix) == 2 and len(matrix[0]) == 2
     for row in payload["improvement_proportion"]:
@@ -337,7 +370,7 @@ def test_sweep_writes_one_csv_per_metric(tmp_path, capsys):
         ]
     )
     assert code == 0
-    for metric in SWEEP_METRICS:
+    for metric in IMPROVEMENT_METRICS:
         path = tmp_path / f"sweep_{metric}.csv"
         assert path.exists()
         first = path.read_text().splitlines()[0]

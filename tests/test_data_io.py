@@ -6,16 +6,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_load_csv
-from lokmeans import (
+from lokmeans import DivergenceSpec
+from lokmeans.data_io import (
     CsvFormatError,
-    DivergenceSpec,
+    RawTable,
     counterexample_instance,
     dedup_merge,
     filter_domain,
     load_csv,
+    load_mahalanobis_csv,
     synth_uniform_grid,
 )
-from lokmeans.data_io import RawTable, load_mahalanobis_csv
 
 
 def _write(tmp_path, text, name="data.csv"):

@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import ALL_KINDS, random_spd, spec_for
-from lokmeans import DivergenceSpec, DomainError, evaluate, synth_uniform_grid
-from lokmeans.data_io import load_mahalanobis_csv
+from lokmeans import DivergenceSpec
+from lokmeans.data_io import load_mahalanobis_csv, synth_uniform_grid
 from lokmeans.divergence import (
     ITAKURA_SAITO,
     KL,
     SQUARED_EUCLIDEAN,
     SQUARED_MAHALANOBIS,
+    DomainError,
     domain_contains,
+    evaluate,
     pairwise,
     point_terms,
     rowwise,

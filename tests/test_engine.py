@@ -4,33 +4,24 @@ import numpy as np
 import pytest
 
 from conftest import ALL_KINDS, random_instance, spec_for
-from lokmeans import (
-    Dataset,
-    DivergenceSpec,
-    DomainError,
-    EngineConfig,
-    assign_step,
-    cluster_stats,
-    init_centers,
-    optimal_centers,
-    repair_empty_clusters,
-    run,
-)
-from lokmeans import engine
+from lokmeans import Dataset, DivergenceSpec, EngineConfig, engine, run
+from lokmeans.divergence import DomainError
+from lokmeans.engine import init_centers, repair_empty_clusters
+from lokmeans.model import cluster_stats
 
 SQE = DivergenceSpec.squared_euclidean()
 
 
 def test_assign_step_counterexample_initial(counterexample):
     dataset, initial = counterexample
-    labels = assign_step(dataset, initial, SQE)
+    labels = engine._assign_with_divergences(dataset, initial, SQE, 1e-9)[0]
     np.testing.assert_array_equal(labels, [0, 0, 0, 1, 1])
 
 
 def test_assign_tie_prefers_smallest_index(counterexample):
     dataset, _ = counterexample
     centers = np.array([[-2.0], [2.0]])
-    labels = assign_step(dataset, centers, SQE)
+    labels = engine._assign_with_divergences(dataset, centers, SQE, 1e-9)[0]
     # The point at 0 is exactly 4 from both centers; index 0 wins.
     np.testing.assert_array_equal(labels, [0, 0, 0, 1, 1])
 
@@ -38,7 +29,7 @@ def test_assign_tie_prefers_smallest_index(counterexample):
 def test_assign_ignores_non_finite_centers(counterexample):
     dataset, _ = counterexample
     centers = np.array([[np.nan], [2.0]])
-    labels = assign_step(dataset, centers, SQE)
+    labels = engine._assign_with_divergences(dataset, centers, SQE, 1e-9)[0]
     np.testing.assert_array_equal(labels, np.ones(5))
 
 
@@ -179,10 +170,12 @@ def test_run_ends_at_fixed_point_of_the_sweep():
         config = EngineConfig(k=k, divergence=SQE, variant="none", seed=trial)
         report = run(dataset, config)
         assert report.termination == "converged"
-        again = assign_step(dataset, report.final_centers, SQE, config.tie_tolerance)
+        again, _ = engine._assign_with_divergences(
+            dataset, report.final_centers, SQE, config.tie_tolerance
+        )
         np.testing.assert_array_equal(again, report.final_labels)
         np.testing.assert_allclose(
-            optimal_centers(dataset, report.final_labels, k),
+            cluster_stats(dataset, report.final_labels, k).centers(),
             report.final_centers,
             rtol=1e-12,
             atol=1e-12,

@@ -12,22 +12,21 @@ from lokmeans import (
     Dataset,
     DivergenceSpec,
     EngineConfig,
-    c_lo_step,
     certify_c_local,
     certify_d_local,
-    cluster_stats,
-    clustering_loss,
-    delta_move,
-    move_cost_matrix,
-    d_lo_step,
-    min_d_lo_step,
-    optimal_centers,
-    pnx_run,
     run,
-    synth_uniform_grid,
 )
+from lokmeans.data_io import synth_uniform_grid
 from lokmeans.divergence import pairwise
-from lokmeans.model import rounding_floor
+from lokmeans.localopt import (
+    c_lo_step,
+    d_lo_step,
+    delta_move,
+    min_d_lo_step,
+    move_cost_matrix,
+    pnx_run,
+)
+from lokmeans.model import cluster_stats, clustering_loss, rounding_floor
 
 SQE = DivergenceSpec.squared_euclidean()
 KMEANS_LABELS = np.array([0, 0, 0, 1, 1])
@@ -143,7 +142,7 @@ def test_move_cost_matrix_matches_full_recompute():
                 continue
             moved = labels.copy()
             moved[point] = dst
-            target = optimal_centers(dataset, moved, k)
+            target = cluster_stats(dataset, moved, k).centers()
             recomputed = clustering_loss(dataset, moved, target, spec) - base
             scale = max(1.0, abs(matrix[point, dst]), abs(recomputed))
             assert abs(matrix[point, dst] - recomputed) <= 1e-9 * scale
@@ -187,6 +186,17 @@ def test_c_lo_step_breaks_the_frozen_tie(counterexample):
     assert not c_lo_step(dataset, labels, stats, centers, SQE)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_c_lo_step_rejects_a_non_finite_tie_tolerance(bad, counterexample):
+    # The stalled state holds a tie; a NaN band would hide it and report none.
+    dataset, _ = counterexample
+    labels = KMEANS_LABELS.copy()
+    stats, centers = _state(dataset, labels, 2)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        c_lo_step(dataset, labels, stats, centers, SQE, tie_tolerance=bad)
+    np.testing.assert_array_equal(labels, KMEANS_LABELS)
+
+
 def test_c_lo_step_moves_to_largest_tied_index():
     points = np.array([[0.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     dataset = Dataset(points, np.ones(4))
@@ -208,7 +218,7 @@ def test_d_lo_step_applies_first_improving_move():
     # Point 0 -> cluster 1 (delta -26) precedes the larger improvement at
     # point 1 in the point-major, destination-minor scan.
     np.testing.assert_array_equal(labels, [1, 1, 0, 1])
-    after = clustering_loss(dataset, labels, optimal_centers(dataset, labels, 2), SQE)
+    after = clustering_loss(dataset, labels, cluster_stats(dataset, labels, 2).centers(), SQE)
     assert after - before == pytest.approx(-26.0, abs=1e-9)
 
 
@@ -221,7 +231,7 @@ def test_min_d_lo_step_applies_best_move():
     # Point 1 -> cluster 0 and point 2 -> cluster 1 tie at -118/3; the
     # smaller point index wins.
     np.testing.assert_array_equal(labels, [0, 0, 0, 1])
-    after = clustering_loss(dataset, labels, optimal_centers(dataset, labels, 2), SQE)
+    after = clustering_loss(dataset, labels, cluster_stats(dataset, labels, 2).centers(), SQE)
     assert after - before == pytest.approx(-118.0 / 3.0, abs=1e-9)
 
 
@@ -311,7 +321,7 @@ def test_true_steps_strictly_decrease_loss():
             kept = np.flatnonzero(stats.member_count > 0)
             remap = {int(c): i for i, c in enumerate(kept)}
             squeezed = np.array([remap[int(c)] for c in labels])
-            fresh = optimal_centers(dataset, squeezed, kept.size)
+            fresh = cluster_stats(dataset, squeezed, kept.size).centers()
             after = clustering_loss(dataset, squeezed, fresh, spec)
             assert after < before
             improved += 1

@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import ALL_KINDS, random_instance, reference_rows_distinct, spec_for
-from lokmeans import (
-    Dataset,
-    DivergenceSpec,
-    DomainError,
+from lokmeans import Dataset, DivergenceSpec
+from lokmeans.divergence import DomainError
+from lokmeans.model import (
     EmptyClusterError,
+    check_labels,
     cluster_stats,
     clustering_loss,
     incremental_center_update,
-    optimal_centers,
+    weighted_points,
 )
-from lokmeans.model import check_labels, weighted_points
 
 KMEANS_LABELS = np.array([0, 0, 0, 1, 1])
 ESCAPED_LABELS = np.array([0, 0, 1, 1, 1])
@@ -26,7 +25,7 @@ SQE = DivergenceSpec.squared_euclidean()
 
 def test_counterexample_kmeans_state(counterexample):
     dataset, _ = counterexample
-    centers = optimal_centers(dataset, KMEANS_LABELS, 2)
+    centers = cluster_stats(dataset, KMEANS_LABELS, 2).centers()
     np.testing.assert_allclose(centers, [[-2.0], [2.0]], atol=1e-12)
     loss = clustering_loss(dataset, KMEANS_LABELS, centers, SQE)
     assert loss == pytest.approx(8.5, abs=1e-12)
@@ -34,7 +33,7 @@ def test_counterexample_kmeans_state(counterexample):
 
 def test_counterexample_escaped_state(counterexample):
     dataset, _ = counterexample
-    centers = optimal_centers(dataset, ESCAPED_LABELS, 2)
+    centers = cluster_stats(dataset, ESCAPED_LABELS, 2).centers()
     np.testing.assert_allclose(centers, [[-3.0], [4.0 / 3.0]], atol=1e-12)
     loss = clustering_loss(dataset, ESCAPED_LABELS, centers, SQE)
     assert loss == pytest.approx(31.0 / 6.0, abs=1e-12)
@@ -42,7 +41,7 @@ def test_counterexample_escaped_state(counterexample):
 
 def test_weighted_mean_frozen_value():
     dataset = Dataset(np.array([[0.0], [1.0]]), np.array([1.0, 3.0]))
-    centers = optimal_centers(dataset, np.array([0, 0]), 1)
+    centers = cluster_stats(dataset, np.array([0, 0]), 1).centers()
     assert centers[0, 0] == pytest.approx(0.75, abs=1e-15)
 
 
@@ -51,14 +50,14 @@ def test_single_point_cluster_center_is_the_point():
     dataset, k = random_instance(rng)
     labels = np.zeros(dataset.n, dtype=np.int64)
     labels[3] = 1
-    centers = optimal_centers(dataset, labels, 2)
+    centers = cluster_stats(dataset, labels, 2).centers()
     np.testing.assert_allclose(centers[1], dataset.points[3], rtol=1e-12)
 
 
 def test_empty_cluster_error_names_the_cluster(counterexample):
     dataset, _ = counterexample
     with pytest.raises(EmptyClusterError, match="cluster 1") as info:
-        optimal_centers(dataset, np.zeros(5, dtype=np.int64), 2)
+        cluster_stats(dataset, np.zeros(5, dtype=np.int64), 2).centers()
     assert info.value.cluster == 1
 
 
@@ -172,7 +171,7 @@ def test_optimal_centers_minimize_loss():
         labels = np.concatenate(
             [np.arange(k), rng.integers(0, k, size=dataset.n - k)]
         )
-        centers = optimal_centers(dataset, labels, k)
+        centers = cluster_stats(dataset, labels, k).centers()
         best = clustering_loss(dataset, labels, centers, spec)
         for _ in range(100):
             jitter = centers * rng.uniform(0.9, 1.1, size=centers.shape)
@@ -181,7 +180,7 @@ def test_optimal_centers_minimize_loss():
 
 def test_clustering_loss_validates_inputs(counterexample):
     dataset, _ = counterexample
-    centers = optimal_centers(dataset, KMEANS_LABELS, 2)
+    centers = cluster_stats(dataset, KMEANS_LABELS, 2).centers()
     with pytest.raises(ValueError):
         clustering_loss(dataset, np.array([0, 0, 0, 1, 5]), centers, SQE)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ALL_KINDS,
+    adjacent_assignments,
     exact_sqe_loss,
     exhaustive_d_local,
     random_instance,
@@ -15,38 +16,22 @@ from conftest import (
 from lokmeans import (
     Dataset,
     DivergenceSpec,
-    EmptyClusterError,
     EngineConfig,
-    adjacent_assignments,
     brute_force_best,
     certify_c_local,
     certify_d_local,
-    cluster_stats,
-    init_centers,
-    loss_at_optimal_centers,
-    move_cost_matrix,
-    optimal_centers,
     run,
-    synth_uniform_grid,
 )
+from lokmeans.data_io import synth_uniform_grid
 from lokmeans.divergence import ITAKURA_SAITO, KL, SQUARED_MAHALANOBIS
-from lokmeans.model import origin_loss, rounding_floor
-from lokmeans.verify import _adjacent_deltas, adjacent_delta_bound
+from lokmeans.engine import init_centers
+from lokmeans.localopt import move_cost_matrix
+from lokmeans.model import EmptyClusterError, cluster_stats, origin_loss, rounding_floor
+from lokmeans.verify import _adjacent_deltas, adjacent_delta_bound, loss_at_optimal_centers
 
 SQE = DivergenceSpec.squared_euclidean()
 KMEANS_LABELS = np.array([0, 0, 0, 1, 1])
 ESCAPED_LABELS = np.array([0, 0, 1, 1, 1])
-
-
-def test_adjacent_assignments_enumeration():
-    labels = np.array([0, 2, 1])
-    got = [a.tolist() for a in adjacent_assignments(labels, 3)]
-    assert len(got) == 3 * 2
-    assert got[0] == [1, 2, 1]
-    assert got[1] == [2, 2, 1]
-    assert got[2] == [0, 0, 1]
-    for moved in got:
-        assert (np.array(moved) != labels).sum() == 1
 
 
 def test_loss_at_optimal_centers_tolerates_empty_clusters(counterexample):
@@ -89,7 +74,7 @@ def test_certify_d_local_rejects_empty_clusters(counterexample):
 
 def test_certify_c_local_flags_the_frozen_tie(counterexample):
     dataset, _ = counterexample
-    centers = optimal_centers(dataset, KMEANS_LABELS, 2)
+    centers = cluster_stats(dataset, KMEANS_LABELS, 2).centers()
     cert = certify_c_local(dataset, KMEANS_LABELS, centers, SQE)
     assert cert.kind == "not-local"
     assert cert.tie_count == 1
@@ -103,7 +88,7 @@ def test_certify_c_local_flags_the_frozen_tie(counterexample):
 
 def test_certify_c_local_accepts_the_escaped_state(counterexample):
     dataset, _ = counterexample
-    centers = optimal_centers(dataset, ESCAPED_LABELS, 2)
+    centers = cluster_stats(dataset, ESCAPED_LABELS, 2).centers()
     cert = certify_c_local(dataset, ESCAPED_LABELS, centers, SQE)
     assert cert.kind == "c-local"
     assert cert.tie_count == 0
@@ -128,7 +113,7 @@ def test_certify_c_local_rejects_stale_centers(counterexample):
 @pytest.mark.parametrize("name", ["tie_tolerance", "center_tolerance"])
 def test_certify_c_local_rejects_non_finite_tolerances(name, counterexample):
     dataset, _ = counterexample
-    centers = optimal_centers(dataset, ESCAPED_LABELS, 2)
+    centers = cluster_stats(dataset, ESCAPED_LABELS, 2).centers()
     for bad in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match=f"finite and non-negative, got {name}"):
             certify_c_local(dataset, ESCAPED_LABELS, centers, SQE, **{name: bad})
@@ -137,7 +122,7 @@ def test_certify_c_local_rejects_non_finite_tolerances(name, counterexample):
 def test_certify_c_local_flags_duplicate_centers():
     dataset = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]), np.ones(4))
     labels = np.array([1, 0, 0, 1])
-    centers = optimal_centers(dataset, labels, 2)
+    centers = cluster_stats(dataset, labels, 2).centers()
     np.testing.assert_allclose(centers, [[1.5], [1.5]])
     cert = certify_c_local(dataset, labels, centers, SQE)
     assert cert.kind == "not-local"
@@ -147,7 +132,7 @@ def test_certify_c_local_flags_duplicate_centers():
 def test_certify_c_local_flags_misassigned_point(counterexample):
     dataset, _ = counterexample
     labels = np.array([0, 1, 0, 1, 1])
-    centers = optimal_centers(dataset, labels, 2)
+    centers = cluster_stats(dataset, labels, 2).centers()
     cert = certify_c_local(dataset, labels, centers, SQE)
     assert cert.kind == "not-local"
     assert cert.note == "assignment is not a fixed point"
@@ -159,7 +144,7 @@ def test_certify_c_local_flags_misassigned_point(counterexample):
 def test_certificates_on_single_cluster():
     dataset = Dataset(np.array([[0.0], [1.0], [5.0]]), np.ones(3))
     labels = np.zeros(3, dtype=np.int64)
-    centers = optimal_centers(dataset, labels, 1)
+    centers = cluster_stats(dataset, labels, 1).centers()
     assert certify_c_local(dataset, labels, centers, SQE).kind == "c-local"
     assert certify_d_local(dataset, labels, 1, SQE).kind == "d-local"
 
