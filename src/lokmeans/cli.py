@@ -69,10 +69,13 @@ def _parse_grid(text: str, flag: str) -> list[int]:
 
 def _divergence_from_args(args) -> DivergenceSpec:
     kind = DIVERGENCE_FLAGS[args.divergence]
+    path = getattr(args, "mahalanobis_matrix", None)
     if kind == SQUARED_MAHALANOBIS:
-        if not getattr(args, "mahalanobis_matrix", None):
+        if not path:
             raise ValueError("--divergence mahalanobis requires --mahalanobis-matrix")
-        return DivergenceSpec(kind, load_mahalanobis_csv(args.mahalanobis_matrix))
+        return DivergenceSpec(kind, load_mahalanobis_csv(path))
+    if path is not None:
+        raise ValueError(f"--mahalanobis-matrix does not apply to --divergence {args.divergence}")
     return DivergenceSpec(kind)
 
 
@@ -197,6 +200,7 @@ def cmd_bench(args) -> int:
             ("--synth", args.synth),
             ("--k", args.k is not None),
             ("--divergence", args.divergence != "sq-euclidean"),
+            ("--mahalanobis-matrix", args.mahalanobis_matrix is not None),
         ):
             if given:
                 raise ValueError(f"--counterexample brings its own instance; {flag} does not apply")

@@ -9,7 +9,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .divergence import ITAKURA_SAITO, KL, DivergenceSpec
+from .divergence import DivergenceSpec, domain_contains
 from .model import Dataset, row_keys
 
 
@@ -127,14 +127,12 @@ def dedup_merge(raw: RawTable) -> Dataset:
 def filter_domain(dataset: Dataset, spec: DivergenceSpec) -> tuple[Dataset, list[int]]:
     """Drop dimensions that violate the divergence domain; re-merge afterwards.
 
-    Only the KL and Itakura-Saito divergences constrain the domain: any
-    dimension containing a non-positive value is removed. Projection can
-    make previously distinct rows coincide, so duplicates are re-merged
-    (weights summed). Returns the dataset and the dropped dimension indices.
+    A dimension is removed when one of its values lies outside the interior
+    of dom(phi), which ``engine.run`` requires. Projection can make
+    previously distinct rows coincide, so duplicates are re-merged (weights
+    summed). Returns the dataset and the dropped dimension indices.
     """
-    if spec.kind not in (KL, ITAKURA_SAITO):
-        return dataset, []
-    keep = (dataset.points > 0.0).all(axis=0)
+    keep = np.array([domain_contains(spec, col, require_interior=True) for col in dataset.points.T])
     dropped = [int(j) for j in np.flatnonzero(~keep)]
     if not dropped:
         return dataset, []

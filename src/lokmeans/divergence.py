@@ -1,4 +1,4 @@
-"""Closed-form Bregman divergences with domain validation.
+"""Closed-form Bregman divergences and their one input check, ``check_domain``.
 
 Four divergences are supported, each given by its generating convex
 function phi:
@@ -21,7 +21,7 @@ Bregman-information form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,6 @@ KL = "kl"
 ITAKURA_SAITO = "itakura-saito"
 
 KINDS = (SQUARED_EUCLIDEAN, SQUARED_MAHALANOBIS, KL, ITAKURA_SAITO)
-QUADRATIC_KINDS = (SQUARED_EUCLIDEAN, SQUARED_MAHALANOBIS)
 
 # Relative pivot cutoff below which a Mahalanobis matrix is rejected as
 # numerically singular.
@@ -69,7 +68,9 @@ class DivergenceSpec:
     """Identifies a divergence; carries the matrix for the Mahalanobis case."""
 
     kind: str
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray | None = field(default=None, compare=False)
+    # The matrix's bytes with -0.0 as +0.0: equality and hashing compare them.
+    _values: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -78,8 +79,14 @@ class DivergenceSpec:
             if self.matrix is None:
                 raise ValueError("squared-mahalanobis requires a matrix")
             object.__setattr__(self, "matrix", _validate_spd(self.matrix))
+            object.__setattr__(self, "_values", (self.matrix + 0.0).tobytes())
         elif self.matrix is not None:
             raise ValueError(f"{self.kind} does not take a matrix")
+
+    @property
+    def quadratic(self) -> bool:
+        """Whether phi(x) = x^T A x; squared Euclidean is A = I, ``matrix`` None."""
+        return self.kind in (SQUARED_EUCLIDEAN, SQUARED_MAHALANOBIS)
 
     @classmethod
     def squared_euclidean(cls) -> "DivergenceSpec":
@@ -103,7 +110,7 @@ def domain_contains(spec: DivergenceSpec, value: np.ndarray, require_interior: b
     v = np.asarray(value, dtype=np.float64)
     if not np.isfinite(v).all():
         return False
-    if spec.kind in QUADRATIC_KINDS:
+    if spec.quadratic:
         return True
     if spec.kind == KL:
         # dom(phi) allows zeros; the interior does not.
@@ -111,19 +118,27 @@ def domain_contains(spec: DivergenceSpec, value: np.ndarray, require_interior: b
     return bool((v > 0.0).all())
 
 
-def _closed_form(spec: DivergenceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def check_domain(spec: DivergenceSpec, value, what: str, require_interior: bool = False) -> None:
+    """Raise ValueError when a Mahalanobis matrix does not match the rows ``value``
+    (named ``what``), DomainError when a value lies outside dom(phi) or its interior."""
+    dim = np.shape(value)[-1]
+    if spec.matrix is not None and len(spec.matrix) != dim:
+        raise ValueError(f"Mahalanobis matrix is {len(spec.matrix)}-dimensional, {what} {dim}-dimensional")
+    if not domain_contains(spec, value, require_interior):
+        raise DomainError(f"{what} outside the {'interior ' if require_interior else ''}domain of {spec.kind}")
+
+
+def rowwise(spec: DivergenceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Divergence over the last axis; broadcasts over leading axes.
 
     Assumes in-domain inputs: first argument in dom(phi), second in its
     interior. Public entry points validate; internal hot paths rely on
     dataset-level validation done once up front.
     """
-    if spec.kind == SQUARED_EUCLIDEAN:
-        diff = x - y
-        return np.einsum("...i,...i->...", diff, diff)
-    if spec.kind == SQUARED_MAHALANOBIS:
-        diff = x - y
-        return np.einsum("...i,ij,...j->...", diff, spec.matrix, diff)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if spec.quadratic:
+        return phi(spec, x - y)
     if spec.kind == KL:
         x, y = np.broadcast_arrays(x, y)
         positive = x > 0.0
@@ -138,14 +153,26 @@ def phi(spec: DivergenceSpec, x: np.ndarray) -> np.ndarray:
 
     KL drops phi's linear term ``-sum(x)``: it changes no divergence.
     """
-    if spec.kind == SQUARED_EUCLIDEAN:
+    if spec.matrix is not None:
+        return np.einsum("...i,ij,...j->...", x, spec.matrix, x)
+    if spec.quadratic:
         return np.einsum("...i,...i->...", x, x)
-    if spec.kind == SQUARED_MAHALANOBIS:
-        return ((x @ spec.matrix) * x).sum(axis=-1)
     if spec.kind == KL:
         positive = x > 0.0
         return np.where(positive, x * np.log(np.where(positive, x, 1.0)), 0.0).sum(axis=-1)
     return -np.log(x).sum(axis=-1)
+
+
+def phi_magnitude(spec: DivergenceSpec, x: np.ndarray) -> np.ndarray:
+    """Per row of ``x``, a bound on |phi| and on its sensitivity to relative
+    error: ``||A||_F ||x||^2`` for quadratic phi (A = I for squared
+    Euclidean), ``sum_j x_j (1 + |log x_j|)`` for KL and ``sum_j (1 + |log
+    x_j|)`` for Itakura-Saito (see ``verify.adjacent_delta_bound``)."""
+    if spec.quadratic:
+        scale = 1.0 if spec.matrix is None else float(np.linalg.norm(spec.matrix))
+        return scale * np.einsum("ij,ij->i", x, x)
+    logs = 1.0 + np.abs(np.log(np.where(x > 0.0, x, 1.0)))
+    return (x * logs if spec.kind == KL else logs).sum(axis=1)
 
 
 def evaluate(spec: DivergenceSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -154,20 +181,9 @@ def evaluate(spec: DivergenceSpec, x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise ValueError(f"expected matching 1-D vectors, got shapes {x.shape} and {y.shape}")
-    if spec.kind == SQUARED_MAHALANOBIS and spec.matrix.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"Mahalanobis matrix is {spec.matrix.shape[0]}-dimensional, points are {x.shape[0]}-dimensional"
-        )
-    if not domain_contains(spec, x):
-        raise DomainError(f"first argument outside the domain of {spec.kind}")
-    if not domain_contains(spec, y, require_interior=True):
-        raise DomainError(f"second argument outside the interior domain of {spec.kind}")
-    return float(_closed_form(spec, x, y))
-
-
-def rowwise(spec: DivergenceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Divergence over the last axis for pre-validated array inputs."""
-    return _closed_form(spec, np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    check_domain(spec, x, "first argument")
+    check_domain(spec, y, "second argument", require_interior=True)
+    return float(rowwise(spec, x, y))
 
 
 @dataclass(frozen=True)
@@ -193,17 +209,13 @@ def point_terms(spec: DivergenceSpec, points: np.ndarray) -> PointTerms:
     operand and row term."""
     x = np.asarray(points, dtype=np.float64)
     mean = None
-    if spec.kind in QUADRATIC_KINDS:
+    if spec.quadratic:
         mean = x.mean(axis=0)
         shifted = x - mean
-        x = shifted if spec.kind == SQUARED_EUCLIDEAN else shifted @ spec.matrix
+        x = shifted if spec.matrix is None else shifted @ spec.matrix
         row = np.einsum("ij,ij->i", x, shifted)
-    elif spec.kind == KL:
-        positive = x > 0.0
-        row = np.where(positive, x * np.log(np.where(positive, x, 1.0)), 0.0).sum(axis=1)
-        row -= x.sum(axis=1)
     else:
-        row = -np.log(x).sum(axis=1) - x.shape[1]
+        row = phi(spec, x) - (x.sum(axis=1) if spec.kind == KL else x.shape[1])
     return PointTerms(spec, points, mean, x, row)
 
 
@@ -242,9 +254,9 @@ def pairwise(
     elif terms.spec is not spec or terms.points is not points:
         raise ValueError("point terms were computed for another divergence or point set")
     c = np.asarray(centers, dtype=np.float64)
-    if spec.kind in QUADRATIC_KINDS:
+    if spec.quadratic:
         c = c - terms.mean
-        ca = c if spec.kind == SQUARED_EUCLIDEAN else c @ spec.matrix
+        ca = c if spec.matrix is None else c @ spec.matrix
         out = (-2.0 * c) @ terms.operand.T
         col = np.einsum("ij,ij->i", ca, c)
     elif spec.kind == KL:

@@ -26,7 +26,7 @@ from .divergence import (
     DivergenceSpec,
     DomainError,
     PointTerms,
-    domain_contains,
+    check_domain,
     pairwise,
     point_terms,
     rowwise,
@@ -103,30 +103,18 @@ def validate_run_inputs(dataset: Dataset, config: EngineConfig) -> None:
         raise ValueError(
             f"k = {config.k} exceeds the {dataset.n} distinct points in the dataset"
         )
-    if not domain_contains(config.divergence, dataset.points, require_interior=True):
-        raise DomainError(
-            f"dataset lies outside the interior domain of {config.divergence.kind};"
-            " filter or preprocess it first"
-        )
-    if (
-        config.divergence.matrix is not None
-        and config.divergence.matrix.shape[0] != dataset.dim
-    ):
-        raise ValueError(
-            f"Mahalanobis matrix is {config.divergence.matrix.shape[0]}-dimensional,"
-            f" dataset is {dataset.dim}-dimensional"
-        )
+    try:
+        check_domain(config.divergence, dataset.points, "dataset", require_interior=True)
+    except DomainError as exc:
+        raise DomainError(f"{exc}; filter or preprocess it first") from None
     centers = config.initial_centers
-    if centers is not None and centers.shape[1] != dataset.dim:
-        raise ValueError(
-            f"initial_centers are {centers.shape[1]}-dimensional,"
-            f" dataset is {dataset.dim}-dimensional"
-        )
-    if centers is not None and not domain_contains(
-        config.divergence, centers, require_interior=True
-    ):
-        kind = config.divergence.kind
-        raise DomainError(f"initial_centers are not finite points inside dom({kind})")
+    if centers is not None:
+        if centers.shape[1] != dataset.dim:
+            raise ValueError(
+                f"initial_centers are {centers.shape[1]}-dimensional,"
+                f" dataset is {dataset.dim}-dimensional"
+            )
+        check_domain(config.divergence, centers, "initial_centers", require_interior=True)
 
 
 def init_centers(

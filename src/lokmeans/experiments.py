@@ -2,17 +2,13 @@
 
 Each escape variant is compared with plain K-means run from the same
 initial centers, drawn per replicate from a seed derived from the master
-seed. LOKMEANS_THREADS bounds the worker pool for replicates and sweep
-cells; results are collected in job order, so the thread count never
-changes any result. The library is called through module attributes
+seed. The library is called through module attributes
 (``engine.run``, ``verify.certify_c_local``), so that a wrapper set on a
 module, as the traced benchmark sets, sees every call made from here.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -35,23 +31,6 @@ IMPROVEMENT_METRICS = [
     "iteration_increase_ratio_mean",
     "new_step_invocations_mean",
 ]
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("LOKMEANS_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"LOKMEANS_THREADS must be an integer, got {raw!r}") from None
-    return max(1, count)
-
-
-def _map_jobs(fn, jobs):
-    workers = _thread_count()
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def derived_seed(master: int, *key: int) -> int:
@@ -195,12 +174,12 @@ def run_bench(
         raise ValueError(f"each variant may be listed once, got {','.join(variants)}")
     if "none" not in variants:
         variants = ["none"] + variants
-
-    def one_replicate(index: int) -> list[RunReport]:
-        seed = derived_seed(base_config.seed, 1, index)
-        return _paired_runs(dataset, base_config, variants, seed, fixed_centers)
-
-    nested = _map_jobs(one_replicate, list(range(replicates)))
+    nested = [
+        _paired_runs(
+            dataset, base_config, variants, derived_seed(base_config.seed, 1, index), fixed_centers
+        )
+        for index in range(replicates)
+    ]
     records = [
         BenchRecord(
             replicate=index,
@@ -259,8 +238,7 @@ def run_sweep(
     """
     _check_replicates(replicates)
 
-    def one_cell(cell: tuple[int, int]) -> dict[str, float]:
-        row, col = cell
+    def one_cell(row: int, col: int) -> dict[str, float]:
         n, k = n_grid[row], k_grid[col]
         plain, tuned = [], []
         for rep in range(replicates):
@@ -274,8 +252,7 @@ def run_sweep(
             tuned.append(pair[1])
         return _improvement_metrics(plain, tuned)
 
-    cells = [(row, col) for row in range(len(n_grid)) for col in range(len(k_grid))]
-    values = _map_jobs(one_cell, cells)
+    values = [one_cell(row, col) for row in range(len(n_grid)) for col in range(len(k_grid))]
     shape = (len(n_grid), len(k_grid))
     return {
         metric: np.array([cell[metric] for cell in values]).reshape(shape)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divergence import QUADRATIC_KINDS, DivergenceSpec, pairwise, rowwise
+from .divergence import DivergenceSpec, pairwise, rowwise
 from .model import (
     ClusterStats,
     Dataset,
@@ -138,7 +138,7 @@ def move_cost_matrix(
     if ((remaining <= 0.0) & multi).any():
         raise ArithmeticError("cluster weights inconsistent with member weights")
 
-    if spec.kind in QUADRATIC_KINDS:
+    if spec.quadratic:
         # Hartigan's form: both center shifts are multiples of D(x, c), so
         # the cost is read off the cached matrix. Singleton sources keep
         # the plain -w D(x, c_a) term, as in the rank-one path below.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import QUADRATIC_KINDS, DivergenceSpec, DomainError, domain_contains, rowwise
+from .divergence import DivergenceSpec, check_domain, rowwise
 
 
 class EmptyClusterError(ValueError):
@@ -189,10 +189,9 @@ def clustering_loss(
     labels = check_labels(labels, dataset.n, centers.shape[0])
     if centers.ndim != 2 or centers.shape[1] != dataset.dim:
         raise ValueError(f"centers shape {centers.shape} does not match dimension {dataset.dim}")
-    if check_points and not domain_contains(spec, dataset.points):
-        raise DomainError(f"points outside the domain of {spec.kind}")
-    if not domain_contains(spec, centers, require_interior=True):
-        raise DomainError(f"centers outside the interior domain of {spec.kind}")
+    if check_points:
+        check_domain(spec, dataset.points, "points")
+    check_domain(spec, centers, "centers", require_interior=True)
     per_point = rowwise(spec, dataset.points, centers[labels])
     return float(per_point @ dataset.weights)
 
@@ -223,7 +222,7 @@ def origin_loss(dataset: Dataset, spec: DivergenceSpec) -> float:
     This is the coordinate scale term of ``rounding_floor``. KL and
     Itakura-Saito are not translation invariant and have no such term: 0.
     """
-    if spec.kind not in QUADRATIC_KINDS:
+    if not spec.quadratic:
         return 0.0
     return float(dataset.weights @ rowwise(spec, dataset.points, np.zeros(dataset.dim)))
 

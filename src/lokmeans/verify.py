@@ -17,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import (
-    KL,
-    QUADRATIC_KINDS,
-    SQUARED_MAHALANOBIS,
-    DivergenceSpec,
-    pairwise,
-    phi,
-    rowwise,
-)
+from .divergence import DivergenceSpec, check_domain, pairwise, phi, phi_magnitude, rowwise
 from .localopt import _CHUNK_ELEMENTS, MoveDelta
 from .model import (
     ClusterStats,
@@ -93,7 +85,7 @@ def _adjacent_deltas(
     shifted by their mean for the quadratic kinds.
     """
     x, w = dataset.points, dataset.weights
-    if spec.kind in QUADRATIC_KINDS:
+    if spec.quadratic:
         x = x - x.mean(axis=0)
     n, k = dataset.n, stats.k
     totals = stats.weight_sum
@@ -124,23 +116,16 @@ def adjacent_delta_bound(dataset: Dataset, spec: DivergenceSpec, loss: float) ->
     loss and O the ``origin_loss``. Each fast delta adds four ``W phi(c)``
     terms whose sums run over at most n points and d coordinates, so to
     first order each is off by at most (n + d + 4) u times ``Phi = sum_g
-    w_g m(x_g)``, where m bounds |phi| and its sensitivity to relative
-    error: ``||A||_F ||x||^2`` on mean-shifted points for the quadratic
-    kinds (A = I for squared Euclidean), ``sum_j x_j (1 + |log x_j|)`` for
-    KL, ``sum_j (1 + |log x_j|)`` for Itakura-Saito. A recomputed delta
-    differs two losses, each off by about (n + d) u (F + sqrt(F O)) (see
-    ``rounding_floor``).
+    w_g m(x_g)``, where m, ``divergence.phi_magnitude``, bounds |phi| and
+    its sensitivity to relative error (on mean-shifted points for quadratic
+    phi). A recomputed delta differs two losses, each off by about
+    (n + d) u (F + sqrt(F O)) (see ``rounding_floor``).
     """
-    x, w = dataset.points, dataset.weights
-    if spec.kind in QUADRATIC_KINDS:
+    x = dataset.points
+    if spec.quadratic:
         x = x - x.mean(axis=0)
-        scale = 1.0 if spec.kind != SQUARED_MAHALANOBIS else float(np.linalg.norm(spec.matrix))
-        magnitude = scale * np.einsum("ij,ij->i", x, x)
-    else:
-        positive = x > 0.0
-        logs = 1.0 + np.abs(np.log(np.where(positive, x, 1.0)))
-        magnitude = (x * logs if spec.kind == KL else logs).sum(axis=1)
-    total = float(w @ magnitude) + loss + np.sqrt(loss * origin_loss(dataset, spec))
+    magnitude = phi_magnitude(spec, x)
+    total = float(dataset.weights @ magnitude) + loss + np.sqrt(loss * origin_loss(dataset, spec))
     return 8.0 * (dataset.n + dataset.dim + 4) * (np.finfo(np.float64).eps / 2) * total
 
 
@@ -164,6 +149,7 @@ def certify_d_local(
     of F, the bar the escape steps use; a smaller recomputed difference
     cannot be told from rounding.
     """
+    check_domain(spec, dataset.points, "points")
     labels = check_labels(labels, dataset.n, k)
     stats = cluster_stats(dataset, labels, k)
     empty = np.flatnonzero(stats.member_count == 0)
@@ -210,6 +196,8 @@ def certify_c_local(
     check_tolerance("tie_tolerance", tie_tolerance)
     check_tolerance("center_tolerance", center_tolerance)
     centers = np.asarray(centers, dtype=np.float64)
+    check_domain(spec, dataset.points, "points")
+    check_domain(spec, centers, "centers", require_interior=True)
     k = centers.shape[0]
     labels = check_labels(labels, dataset.n, k)
     stats = cluster_stats(dataset, labels, k)
@@ -279,6 +267,7 @@ def brute_force_best(
     assignments is lossless: moving a point into an empty cluster never
     raises the loss, so some optimum uses all clusters.
     """
+    check_domain(spec, dataset.points, "points")
     total = k**dataset.n
     if total > BRUTE_FORCE_LIMIT:
         raise ValueError(

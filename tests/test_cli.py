@@ -159,6 +159,15 @@ def test_mahalanobis_requires_matrix_flag(capsys):
     assert "--mahalanobis-matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("divergence", ["sq-euclidean", "kl", "itakura-saito"])
+def test_mahalanobis_matrix_flag_needs_the_mahalanobis_divergence(divergence, tmp_path, capsys):
+    argv = ["run", "--synth", "n=30,d=2", "--k", "3", "--divergence", divergence]
+    assert main(argv + ["--mahalanobis-matrix", str(tmp_path / "absent.csv")]) == 2
+    captured = capsys.readouterr()
+    assert f"--mahalanobis-matrix does not apply to --divergence {divergence}" in captured.err
+    assert captured.out == ""
+
+
 def test_mahalanobis_run_with_matrix_file(tmp_path, capsys):
     matrix = tmp_path / "matrix.csv"
     matrix.write_text("2.0,0.0\n0.0,1.0\n")
@@ -239,6 +248,7 @@ def test_bench_counterexample_frozen_summary(capsys):
         (["--data", "points.csv"], "--data"),
         (["--k", "5"], "--k"),
         (["--divergence", "kl"], "--divergence"),
+        (["--mahalanobis-matrix", "matrix.csv"], "--mahalanobis-matrix"),
     ],
 )
 def test_bench_counterexample_rejects_dataset_and_model_flags(extra, flag, capsys):
@@ -446,40 +456,6 @@ def test_unknown_flag_exits_with_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["run", "--bogus"])
     assert info.value.code == 2
-
-
-def test_thread_env_does_not_change_results(monkeypatch, capsys):
-    argv = [
-        "bench",
-        "--synth",
-        "n=50,d=1",
-        "--k",
-        "5",
-        "--replicates",
-        "4",
-        "--variants",
-        "d-lo",
-        "--json",
-    ]
-    monkeypatch.setenv("LOKMEANS_THREADS", "1")
-    assert main(argv) == 0
-    serial, _ = _json_output(capsys)
-    monkeypatch.setenv("LOKMEANS_THREADS", "3")
-    assert main(argv) == 0
-    threaded, _ = _json_output(capsys)
-
-    def strip_timing(payload):
-        records = [
-            {key: value for key, value in record.items() if key != "wall_time"}
-            for record in payload["records"]
-        ]
-        summaries = [
-            {key: value for key, value in row.items() if key != "time_mean_seconds"}
-            for row in payload["summaries"]
-        ]
-        return records, summaries
-
-    assert strip_timing(serial) == strip_timing(threaded)
 
 
 def test_json_out_file_round_trip(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import ALL_KINDS, random_spd, spec_for
-from lokmeans import DivergenceSpec
+from lokmeans import Dataset, DivergenceSpec, EngineConfig, run
 from lokmeans.data_io import load_mahalanobis_csv, synth_uniform_grid
 from lokmeans.divergence import (
     ITAKURA_SAITO,
@@ -23,6 +23,8 @@ from lokmeans.divergence import (
     point_terms,
     rowwise,
 )
+from lokmeans.model import cluster_stats, clustering_loss
+from lokmeans.verify import brute_force_best, certify_c_local, certify_d_local
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -284,6 +286,60 @@ def test_domain_contains_boundary_versus_interior():
     assert not domain_contains(spec, boundary, require_interior=True)
     sqe = DivergenceSpec.squared_euclidean()
     assert domain_contains(sqe, np.array([-5.0]), require_interior=True)
+
+
+def test_specs_compare_and_hash_by_kind_and_matrix_values():
+    eye = DivergenceSpec.squared_mahalanobis(np.eye(2))
+    signed_zeros = DivergenceSpec.squared_mahalanobis(np.array([[1.0, -0.0], [-0.0, 1.0]]))
+    assert eye == signed_zeros and hash(eye) == hash(signed_zeros)
+    assert eye != DivergenceSpec.squared_mahalanobis(2.0 * np.eye(2))
+    assert eye != DivergenceSpec.squared_mahalanobis(np.eye(3))
+    assert eye != DivergenceSpec.squared_euclidean() and eye != SQUARED_MAHALANOBIS
+    assert DivergenceSpec.kl() == DivergenceSpec(KL) != DivergenceSpec.itakura_saito()
+    assert len({eye, signed_zeros, DivergenceSpec.kl(), DivergenceSpec(KL)}) == 2
+    assert "_values" not in repr(eye)
+
+
+# Each public entry point, called on (dataset, labels, optimal centers, spec),
+# and the name its message gives the checked argument.
+_ENTRY_POINTS = {
+    "certify_d_local": (lambda x, p, c, s: certify_d_local(x, p, 2, s), "points"),
+    "certify_c_local": (lambda x, p, c, s: certify_c_local(x, p, c, s), "points"),
+    "brute_force_best": (lambda x, p, c, s: brute_force_best(x, 2, s), "points"),
+    "clustering_loss": (lambda x, p, c, s: clustering_loss(x, p, c, s), "points"),
+    "engine.run": (lambda x, p, c, s: run(x, EngineConfig(k=2, divergence=s)), "dataset"),
+    "evaluate": (lambda x, p, c, s: evaluate(s, x.points[0], x.points[1]), "first argument"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "spec, error, message",
+    [
+        (DivergenceSpec.kl(), DomainError, "{} outside the (interior )?domain of kl"),
+        (DivergenceSpec.itakura_saito(), DomainError, "{} outside the (interior )?domain of itakura"),
+        (DivergenceSpec.squared_mahalanobis(np.eye(3)), ValueError, "matrix is 3-dim.*, {} 2-dim"),
+    ],
+    ids=["kl", "itakura-saito", "mahalanobis-3x3"],
+)
+def test_entry_points_check_their_inputs_against_the_divergence(entry, spec, error, message):
+    # N(0, 1) points leave dom(phi) of KL and Itakura-Saito; the matrix does
+    # not match their dimension.
+    data = Dataset(np.random.default_rng(0).normal(size=(12, 2)), np.ones(12))
+    labels = np.array([0, 1] * 6)
+    centers = cluster_stats(data, labels, 2).centers()
+    call, what = _ENTRY_POINTS[entry]
+    with pytest.raises(error, match=message.format(what)):
+        call(data, labels, centers, spec)
+
+
+def test_certify_c_local_requires_centers_inside_the_interior():
+    # Zeros lie in dom(phi) of KL but not in its interior, where the centers must lie.
+    data = Dataset(np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 1.0], [2.0, 3.0]]), np.ones(4))
+    labels = np.array([0, 0, 1, 1])
+    centers = cluster_stats(data, labels, 2).centers()
+    with pytest.raises(DomainError, match="centers outside the interior domain of kl"):
+        certify_c_local(data, labels, centers, DivergenceSpec.kl())
 
 
 def test_load_mahalanobis_csv(tmp_path):

@@ -272,7 +272,7 @@ def test_run_rejects_initial_centers_that_do_not_fit_the_dataset(counterexample)
     with pytest.raises(ValueError, match="initial_centers are 3-dimensional"):
         run(dataset, EngineConfig(k=2, divergence=SQE, initial_centers=np.zeros((2, 3))))
     for bad in (np.nan, np.inf):
-        with pytest.raises(DomainError, match="initial_centers are not finite"):
+        with pytest.raises(DomainError, match="initial_centers outside the interior domain"):
             run(dataset, EngineConfig(k=2, divergence=SQE, initial_centers=[[0.0], [bad]]))
     positive = Dataset(np.array([[1.0], [2.0], [4.0]]), np.ones(3))
     for spec in (DivergenceSpec.kl(), DivergenceSpec.itakura_saito()):
