@@ -36,7 +36,7 @@ from .divergence import ITAKURA_SAITO, KL, SQUARED_EUCLIDEAN, SQUARED_MAHALANOBI
 from .engine import INITS, VARIANTS, EngineConfig
 from .experiments import IMPROVEMENT_METRICS
 from .experiments import derived_seed as _derived_seed
-from .model import Dataset
+from .model import TIE_TOLERANCE, Dataset
 
 DIVERGENCE_FLAGS = {
     "sq-euclidean": SQUARED_EUCLIDEAN,
@@ -335,7 +335,7 @@ _MODEL_FLAGS = {
     "--init": {"choices": INITS, "default": "uniform"},
     "--seed": {"type": int, "default": 0},
     "--max-iters": {"type": int, "default": 10000},
-    "--tie-tol": {"type": float, "default": 1e-9},
+    "--tie-tol": {"type": float, "default": TIE_TOLERANCE},
 }
 
 

@@ -109,19 +109,14 @@ def dedup_merge(raw: RawTable) -> Dataset:
         if raw.weights is None
         else np.asarray(raw.weights, dtype=np.float64)
     )
-    index: dict[bytes, int] = {}
-    unique_rows: list[np.ndarray] = []
-    merged: list[float] = []
-    for row, key, weight in zip(rows, keys, weights):
-        key = key.tobytes()
-        slot = index.get(key)
-        if slot is None:
-            index[key] = len(unique_rows)
-            unique_rows.append(row)
-            merged.append(float(weight))
-        else:
-            merged[slot] += float(weight)
-    return Dataset(np.asarray(unique_rows), np.asarray(merged))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # Number the distinct rows by first appearance; bincount then adds each
+    # row's weights in file order, as a running sum would.
+    order = np.argsort(first)
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    merged = np.bincount(slot[inverse], weights=weights, minlength=order.size)
+    return Dataset(rows[first[order]], merged)
 
 
 def filter_domain(dataset: Dataset, spec: DivergenceSpec) -> tuple[Dataset, list[int]]:

@@ -10,7 +10,9 @@ invoke an escape step at the fixed point:
 * pnx       d-lo without sweeps: after the first assignment, single-point
             moves only (Hartigan's method)
 
-Every run is a deterministic function of (dataset, config).
+The steps in ``localopt`` only choose a move; ``run`` applies it, with
+``incremental_center_update`` and the label write, in one place. Every run
+is a deterministic function of (dataset, config).
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ from .divergence import (
     rowwise,
 )
 from .model import (
+    TIE_TOLERANCE,
     ClusterStats,
     Dataset,
     check_tolerance,
     cluster_stats,
     clustering_loss,
+    incremental_center_update,
     origin_loss,
     weighted_points,
     within_tie_band,
@@ -57,7 +61,7 @@ class EngineConfig:
     init: str = "uniform"
     seed: int = 0
     max_iterations: int = 10000
-    tie_tolerance: float = 1e-9
+    tie_tolerance: float = TIE_TOLERANCE
     initial_centers: np.ndarray | None = None  # overrides sampled seeding
 
     def __post_init__(self) -> None:
@@ -208,11 +212,12 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
 
     Outer loop per iteration: assignment sweep, empty-cluster repair,
     weighted-mean center update. When the assignment stops changing the
-    variant's escape step runs; the loop ends when it finds nothing (or
-    immediately for variant "none"). "pnx" sweeps in the first iteration
-    only and then just recomputes the centers before each step. The loss
-    trajectory records one value per iteration and is strictly decreasing:
-    an iteration that changes nothing ends the run instead.
+    variant's escape step chooses a move, which is applied here; the loop
+    ends when it finds none (or immediately for variant "none"). "pnx"
+    sweeps in the first iteration only and then just recomputes the centers
+    before each step. The loss trajectory records one value per iteration
+    and is strictly decreasing: an iteration that changes nothing ends the
+    run instead.
 
     The point side of ``pairwise`` and the weighted points of
     ``cluster_stats`` depend on the dataset alone: each is computed once per
@@ -257,11 +262,6 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
             stats = cluster_stats(dataset, fresh, config.k, weighted=weighted)
             repaired = repair_empty_clusters(dataset, fresh, stats, centers)
             repairs += repaired
-            # At a fixed point of the sweep the step gets ``divs`` as computed
-            # at the previous centers, which after an escape move are the
-            # rank-one-updated ones, while ``centers`` below are recomputed
-            # means. The two differ by the rounding of the rank-one update
-            # (a few ulps), which the steps' rounding floor absorbs.
             fixed = labels is not None and repaired == 0 and np.array_equal(fresh, labels)
             labels = fresh
             centers = stats.centers()
@@ -271,9 +271,18 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
             centers = stats.centers()
             divs = pairwise(spec, dataset.points, centers, terms=terms)
         if fixed:
-            if step is None or not step(dataset, labels, stats, centers, spec, divs=divs):
+            move = None if step is None else step(dataset, labels, stats, centers, spec, divs=divs)
+            if move is None:
                 termination = TERMINATION_CONVERGED
                 break
+            # The only place a move is made. At the next fixed point of the
+            # sweep the step gets ``divs`` as computed at the centers updated
+            # here, while ``centers`` are the means recomputed from ``stats``.
+            # The two differ by the rounding of the rank-one update (a few
+            # ulps), which the steps' rounding floor absorbs.
+            point, dst = move
+            incremental_center_update(stats, centers, point, int(labels[point]), dst, dataset)
+            labels[point] = dst
             invocations += 1
         trajectory.append(clustering_loss(dataset, labels, centers, spec, check_points=False))
 

@@ -260,7 +260,9 @@ def run_sweep(
     }
 
 
-def run_counterexample(max_iterations: int = 10000, tie_tolerance: float = 1e-9) -> dict:
+def run_counterexample(
+    max_iterations: int = 10000, tie_tolerance: float = model.TIE_TOLERANCE
+) -> dict:
     """All variants on the fixed five-point instance with its fixed centers."""
     dataset, initial = counterexample_instance()
     config = EngineConfig(

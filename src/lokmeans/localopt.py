@@ -26,10 +26,13 @@ with W the cluster weights; a singleton source contributes -w D(x_g, c_a).
 these kinds need no (N, K, d) scratch. KL and Itakura-Saito keep the
 rank-one form; ``delta_move``, the scalar reference, evaluates it for one.
 
-The escape steps ``d_lo_step`` and ``min_d_lo_step`` apply a move with
-``incremental_center_update`` and never empty a cluster: a singleton's
-point sits on its optimal center, so moving it out cannot lower the loss.
-Variant "pnx" is ``d_lo_step`` run by ``engine.run`` without sweeps.
+The escape steps ``c_lo_step``, ``d_lo_step`` and ``min_d_lo_step`` only
+choose a move: each leaves its arguments untouched and returns the move as
+a ``(point, destination)`` pair, or None when it finds none. ``engine.run``
+applies the move. ``d_lo_step`` and ``min_d_lo_step`` never empty a
+cluster: a singleton's point sits on its optimal center, so moving it out
+cannot lower the loss. Variant "pnx" is ``d_lo_step`` run by ``engine.run``
+without sweeps.
 """
 
 from __future__ import annotations
@@ -38,13 +41,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divergence import DivergenceSpec, pairwise, rowwise
+from .divergence import DivergenceSpec, rowwise
 from .model import (
     ClusterStats,
     Dataset,
     check_tolerance,
-    incremental_center_update,
-    origin_loss,
     rank_one_shift,
     rounding_floor,
     within_tie_band,
@@ -114,22 +115,16 @@ def move_cost_matrix(
     stats: ClusterStats,
     centers: np.ndarray,
     spec: DivergenceSpec,
-    divs: np.ndarray | None = None,
+    divs: np.ndarray,
 ) -> np.ndarray:
     """(N, K) matrix of hard-move costs; the own-cluster column is +inf.
 
-    ``divs`` may carry the point-to-center divergence matrix already
-    computed by the caller's assignment step. After an escape move the
-    caller's ``centers`` are the recomputed means while ``divs`` was taken
-    at the rank-one-updated ones, so the two may differ by the rounding of
-    the rank-one update; the escape steps' rounding floor absorbs that.
-    The result has the layout of ``divs`` (center-major from ``pairwise``).
+    ``divs`` is the point-to-center divergence matrix of ``pairwise``; the
+    result has its layout (center-major).
     """
     points = dataset.points
     weights = dataset.weights
     n, k = points.shape[0], centers.shape[0]
-    if divs is None:
-        divs = pairwise(spec, points, centers)
 
     rows = np.arange(n)
     own = divs[rows, labels]
@@ -186,22 +181,17 @@ def _move_costs_and_bar(
     stats: ClusterStats,
     centers: np.ndarray,
     spec: DivergenceSpec,
-    divs: np.ndarray | None,
-    origin: float | None,
+    divs: np.ndarray,
+    origin: float,
 ) -> tuple[np.ndarray, float]:
-    """Move-cost matrix and the gain a move must beat to be applied.
+    """Move-cost matrix and the gain a move must beat to be chosen.
 
     The bar is the rounding floor of the current loss, read off the
     divergence matrix the costs are built from; ``origin`` is the
-    dataset's ``origin_loss``, computed here when not given. Rows of
-    singleton clusters are +inf: emptying a cluster never lowers the loss
-    (its optimal center is the point itself), so such a move could only be
-    taken on rounding noise.
+    dataset's ``origin_loss``. Rows of singleton clusters are +inf:
+    emptying a cluster never lowers the loss (its optimal center is the
+    point itself), so such a move could only be taken on rounding noise.
     """
-    if divs is None:
-        divs = pairwise(spec, dataset.points, centers)
-    if origin is None:
-        origin = origin_loss(dataset, spec)
     loss = float(dataset.weights @ divs[np.arange(dataset.n), labels])
     delta = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
     delta[stats.member_count[labels] == 1] = np.inf
@@ -214,23 +204,22 @@ def c_lo_step(
     stats: ClusterStats,
     centers: np.ndarray,
     spec: DivergenceSpec,
-    tie_tolerance: float = 1e-9,
-    divs: np.ndarray | None = None,
-) -> bool:
-    """Break one cross-cluster tie by moving the point to the largest tied index.
+    tie_tolerance: float,
+    divs: np.ndarray,
+) -> tuple[int, int] | None:
+    """Choose a cross-cluster tie to break: its point moves to the largest tied index.
 
     Scans points in index order for a nearest-center tie (at least two
-    centers within the relative tie band). Returns False when no tie
+    centers within the relative tie band). Returns None when no tie
     exists, which certifies the fixed point cannot be escaped this way.
-    Mutates labels, stats, and centers in place when a move is made.
+    It reads only ``labels`` and ``divs``; the other arguments keep the
+    signature every escape step shares.
     """
     check_tolerance("tie_tolerance", tie_tolerance)
-    if divs is None:
-        divs = pairwise(spec, dataset.points, centers)
     within = within_tie_band(divs, tie_tolerance)
     candidates = np.flatnonzero(within.sum(axis=1) >= 2)
     if candidates.size == 0:
-        return False
+        return None
     point = int(candidates[0])
     tied = np.flatnonzero(within[point])
     src, dst = int(tied[0]), int(tied[-1])
@@ -238,9 +227,7 @@ def c_lo_step(
         raise ValueError(
             f"point {point} assigned to cluster {labels[point]} but its nearest tied cluster is {src}"
         )
-    incremental_center_update(stats, centers, point, src, dst, dataset)
-    labels[point] = dst
-    return True
+    return point, dst
 
 
 def d_lo_step(
@@ -249,16 +236,16 @@ def d_lo_step(
     stats: ClusterStats,
     centers: np.ndarray,
     spec: DivergenceSpec,
-    divs: np.ndarray | None = None,
-    origin: float | None = None,
-) -> bool:
-    """Apply the first single-point move that lowers the loss.
+    divs: np.ndarray,
+    origin: float,
+) -> tuple[int, int] | None:
+    """Choose the first single-point move that lowers the loss.
 
     The gain must clear the rounding floor of the current loss, so a move
-    whose predicted gain is rounding error is never taken. Candidates are
+    whose predicted gain is rounding error is never chosen. Candidates are
     scanned point-major, destination-minor: the first point with an
     improving move takes its smallest improving destination, even when a
-    later one gains more. Returns False when no move improves, i.e. the
+    later one gains more. Returns None when no move improves, i.e. the
     assignment is locally optimal over single-point moves. ``origin`` is
     the dataset's ``origin_loss``; ``engine.run`` passes it once per run.
     """
@@ -266,12 +253,9 @@ def d_lo_step(
     improving = delta < -bar
     gains = improving.any(axis=1)
     if not gains.any():
-        return False
+        return None
     point = int(np.argmax(gains))
-    dst = int(np.argmax(improving[point]))
-    incremental_center_update(stats, centers, point, int(labels[point]), dst, dataset)
-    labels[point] = dst
-    return True
+    return point, int(np.argmax(improving[point]))
 
 
 def min_d_lo_step(
@@ -280,22 +264,20 @@ def min_d_lo_step(
     stats: ClusterStats,
     centers: np.ndarray,
     spec: DivergenceSpec,
-    divs: np.ndarray | None = None,
-    origin: float | None = None,
-) -> bool:
-    """Apply the single best improving move (ties: smallest point, then cluster).
+    divs: np.ndarray,
+    origin: float,
+) -> tuple[int, int] | None:
+    """Choose the single best improving move (ties: smallest point, then cluster).
 
-    The move is applied only when its gain clears the rounding floor of the
+    The move is chosen only when its gain clears the rounding floor of the
     current loss, as in ``d_lo_step``.
     """
     delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs, origin)
     point = int(np.argmin(delta.min(axis=1)))
     dst = int(np.argmin(delta[point]))
     if not delta[point, dst] < -bar:
-        return False
-    incremental_center_update(stats, centers, point, int(labels[point]), dst, dataset)
-    labels[point] = dst
-    return True
+        return None
+    return point, dst
 
 
 def pnx_run(dataset: Dataset, config) -> "RunReport":

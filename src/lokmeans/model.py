@@ -238,6 +238,10 @@ def rank_one_shift(center, x, weight_sum, s):
     return center + np.asarray(s)[..., None] * (x - center) / grown
 
 
+# Default relative width of the tie band, for every caller that takes one.
+TIE_TOLERANCE = 1e-9
+
+
 def within_tie_band(divs: np.ndarray, tie_tolerance: float) -> np.ndarray:
     """(N, K) mask of the centers within ``dmin + tol (1 + |dmin|)`` of each row."""
     dmin = divs.min(axis=1)

@@ -20,6 +20,7 @@ import numpy as np
 from .divergence import DivergenceSpec, check_domain, pairwise, phi, phi_magnitude, rowwise
 from .localopt import _CHUNK_ELEMENTS, MoveDelta
 from .model import (
+    TIE_TOLERANCE,
     ClusterStats,
     Dataset,
     EmptyClusterError,
@@ -183,7 +184,7 @@ def certify_c_local(
     labels: np.ndarray,
     centers: np.ndarray,
     spec: DivergenceSpec,
-    tie_tolerance: float = 1e-9,
+    tie_tolerance: float = TIE_TOLERANCE,
     center_tolerance: float = 1e-9,
 ) -> Certificate:
     """Check the conditions for optimality against continuous perturbations.
@@ -196,6 +197,8 @@ def certify_c_local(
     check_tolerance("tie_tolerance", tie_tolerance)
     check_tolerance("center_tolerance", center_tolerance)
     centers = np.asarray(centers, dtype=np.float64)
+    if centers.ndim != 2 or centers.shape[1] != dataset.dim:
+        raise ValueError(f"centers shape {centers.shape} does not match dimension {dataset.dim}")
     check_domain(spec, dataset.points, "points")
     check_domain(spec, centers, "centers", require_interior=True)
     k = centers.shape[0]
@@ -215,16 +218,13 @@ def certify_c_local(
             f"centers are not optimal for the assignment (max drift {drift:.3e})"
         )
 
-    for a in range(k):
-        for b in range(a + 1, k):
-            if np.abs(centers[a] - centers[b]).max() <= _DUPLICATE_CENTER_TOLERANCE:
-                return Certificate(
-                    NOT_LOCAL,
-                    None,
-                    0.0,
-                    0,
-                    note=f"clusters {a} and {b} share a center; criterion inapplicable",
-                )
+    # Every pair a < b at once; argwhere reports the first in row-major order.
+    gap = np.abs(centers[:, None, :] - centers[None, :, :]).max(axis=2)
+    shared = np.argwhere(np.triu(gap <= _DUPLICATE_CENTER_TOLERANCE, 1))
+    if shared.size:
+        a, b = shared[0]
+        note = f"clusters {a} and {b} share a center; criterion inapplicable"
+        return Certificate(NOT_LOCAL, None, 0.0, 0, note=note)
 
     divs = pairwise(spec, dataset.points, centers)
     within = within_tie_band(divs, tie_tolerance)

@@ -16,7 +16,13 @@ from lokmeans.divergence import (
 )
 from lokmeans.data_io import CsvFormatError, RawTable, counterexample_instance
 from lokmeans.localopt import MoveDelta
-from lokmeans.model import EmptyClusterError, cluster_stats, origin_loss, rounding_floor
+from lokmeans.model import (
+    EmptyClusterError,
+    cluster_stats,
+    origin_loss,
+    rounding_floor,
+    row_keys,
+)
 from lokmeans.verify import D_LOCAL, NOT_LOCAL, Certificate, loss_at_optimal_centers
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -156,6 +162,35 @@ def reference_load_csv(path, skip_header=False, weight_column=None):
     if rows.shape[1] == 0:
         raise CsvFormatError(f"{path}: no coordinate columns besides the weight column")
     return RawTable(rows, weights)
+
+
+def reference_dedup_merge(raw):
+    """``dedup_merge`` with one dict lookup and one running sum per row.
+
+    The reference the vectorised merge must match bit for bit: the same
+    rows in first-seen order, ``-0.0`` read as ``+0.0``, and each weight
+    the left-to-right sum of its rows' weights.
+    """
+    keys = row_keys(raw.rows)
+    rows = keys.view(np.float64).reshape(np.shape(raw.rows))
+    weights = (
+        np.ones(rows.shape[0], dtype=np.float64)
+        if raw.weights is None
+        else np.asarray(raw.weights, dtype=np.float64)
+    )
+    index = {}
+    unique_rows = []
+    merged = []
+    for row, key, weight in zip(rows, keys, weights):
+        key = key.tobytes()
+        slot = index.get(key)
+        if slot is None:
+            index[key] = len(unique_rows)
+            unique_rows.append(row)
+            merged.append(float(weight))
+        else:
+            merged[slot] += float(weight)
+    return Dataset(np.asarray(unique_rows), np.asarray(merged))
 
 
 def reference_rows_distinct(points):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_load_csv
+from conftest import reference_dedup_merge, reference_load_csv
 from lokmeans import DivergenceSpec
 from lokmeans.data_io import (
     CsvFormatError,
@@ -209,6 +209,27 @@ def test_dedup_merge_merges_rows_that_differ_only_in_a_signed_zero():
     dataset = dedup_merge(RawTable(rows, np.array([1.0, 2.0, 4.0])))
     np.testing.assert_array_equal(dataset.points, [[1.0, 0.0, 1.0], [5.0, 5.0, 5.0]])
     np.testing.assert_array_equal(dataset.weights, [3.0, 4.0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    data=st.data(),
+    n=st.integers(1, 60),
+    d=st.integers(1, 3),
+    weighted=st.booleans(),
+)
+def test_dedup_merge_matches_the_per_row_reference(data, n, d, weighted):
+    # Few distinct values, signed zeros among them, and weights of mixed
+    # magnitude, so that rows repeat and the order of the additions shows.
+    cell = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 5e-324, 1e300])
+    rows = np.array(data.draw(st.lists(cell, min_size=n * d, max_size=n * d))).reshape(n, d)
+    weight = st.sampled_from([0.1, 0.7, 1.0, 3.0, 1e16, 2.5e-8])
+    weights = np.array(data.draw(st.lists(weight, min_size=n, max_size=n))) if weighted else None
+    raw = RawTable(rows, weights)
+    merged, reference = dedup_merge(raw), reference_dedup_merge(raw)
+    assert merged.points.shape == reference.points.shape
+    assert merged.points.tobytes() == reference.points.tobytes()
+    assert merged.weights.tobytes() == reference.weights.tobytes()
 
 
 def test_filter_domain_is_identity_for_unconstrained_divergences():

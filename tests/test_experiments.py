@@ -3,6 +3,7 @@
 import contextlib
 import importlib
 import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,31 @@ def test_benchmark_layers_resolve_and_see_the_library_calls(perfbench):
         "divergence.pairwise",
         "localopt.d_lo_step",
     } <= called
+
+
+@pytest.mark.parametrize(
+    "variant, synth, k, counters",
+    [
+        ("d-lo", "n=80,d=2", "6", ("localopt.moves", "localopt.escape.useful")),
+        # The benchmark counts localopt.moves for the steps that read the
+        # move-cost matrix only, so a c-lo move is counted as useful alone.
+        ("c-lo", "n=40,d=1", "5", ("localopt.escape.useful",)),
+    ],
+)
+def test_benchmark_counts_each_move_the_engine_makes(perfbench, variant, synth, k, counters):
+    # A step returns the move it chose; the benchmark counts a truthy
+    # return as a move made, so its count must match the run's report.
+    layers, spans = perfbench["layers"], perfbench["spans"]
+    recorder = spans.SpanRecorder()
+    targets, _ = layers.instrument(recorder)
+    argv = ["run", "--synth", synth, "--k", k, "--variant", variant, "--json"]
+    out = io.StringIO()
+    with spans.patched(targets), recorder.op_scope(0), contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    moves = json.loads(out.getvalue())["report"]["new_step_invocations"]
+    assert moves > 0
+    for counter in counters:
+        assert recorder.counts[counter] == moves, counter
 
 
 def test_benchmark_escape_op_mirrors_the_bench_replicate_seed(perfbench):

@@ -26,16 +26,45 @@ from lokmeans.localopt import (
     move_cost_matrix,
     pnx_run,
 )
-from lokmeans.model import cluster_stats, clustering_loss, rounding_floor
+from lokmeans.model import (
+    TIE_TOLERANCE,
+    cluster_stats,
+    clustering_loss,
+    incremental_center_update,
+    origin_loss,
+    rounding_floor,
+)
 
 SQE = DivergenceSpec.squared_euclidean()
 KMEANS_LABELS = np.array([0, 0, 0, 1, 1])
 ESCAPED_LABELS = np.array([0, 0, 1, 1, 1])
+STEPS = (c_lo_step, d_lo_step, min_d_lo_step)
 
 
 def _state(dataset, labels, k):
     stats = cluster_stats(dataset, labels, k)
     return stats, stats.centers()
+
+
+def _costs(dataset, labels, stats, centers, spec):
+    divs = pairwise(spec, dataset.points, centers)
+    return move_cost_matrix(dataset, labels, stats, centers, spec, divs)
+
+
+def _choose(step, dataset, labels, stats, centers, spec, divs=None):
+    """The move ``step`` chooses, given what ``engine.run`` passes it."""
+    if divs is None:
+        divs = pairwise(spec, dataset.points, centers)
+    if step is c_lo_step:
+        return step(dataset, labels, stats, centers, spec, tie_tolerance=TIE_TOLERANCE, divs=divs)
+    return step(dataset, labels, stats, centers, spec, divs=divs, origin=origin_loss(dataset, spec))
+
+
+def _apply(dataset, labels, stats, centers, move):
+    """Make ``move`` the way ``engine.run`` does."""
+    point, dst = move
+    incremental_center_update(stats, centers, point, int(labels[point]), dst, dataset)
+    labels[point] = dst
 
 
 def test_delta_frozen_improving_move(counterexample):
@@ -106,7 +135,7 @@ def test_move_cost_matrix_matches_scalar_deltas():
         labels = np.concatenate([np.arange(k), rng.integers(0, k, size=dataset.n - k)])
         rng.shuffle(labels)
         stats, centers = _state(dataset, labels, k)
-        matrix = move_cost_matrix(dataset, labels, stats, centers, spec)
+        matrix = _costs(dataset, labels, stats, centers, spec)
         for point in range(dataset.n):
             src = int(labels[point])
             assert matrix[point, src] == np.inf
@@ -133,7 +162,7 @@ def test_move_cost_matrix_matches_full_recompute():
         rng.shuffle(labels)
         stats, centers = _state(dataset, labels, k)
         base = clustering_loss(dataset, labels, centers, spec)
-        matrix = move_cost_matrix(dataset, labels, stats, centers, spec)
+        matrix = _costs(dataset, labels, stats, centers, spec)
         for _ in range(5):
             point = int(rng.integers(dataset.n))
             dst = int(rng.integers(k))
@@ -159,7 +188,7 @@ def test_singleton_source_row_matches_recompute():
     labels = np.concatenate([np.arange(k), [0]])
     stats, centers = _state(dataset, labels, k)
     base = clustering_loss(dataset, labels, centers, SQE)
-    matrix = move_cost_matrix(dataset, labels, stats, centers, SQE)
+    matrix = _costs(dataset, labels, stats, centers, SQE)
     singleton = 1  # its own cluster, single member
     moved = labels.copy()
     moved[singleton] = 2
@@ -178,12 +207,14 @@ def test_c_lo_step_breaks_the_frozen_tie(counterexample):
     dataset, _ = counterexample
     labels = KMEANS_LABELS.copy()
     stats, centers = _state(dataset, labels, 2)
-    assert c_lo_step(dataset, labels, stats, centers, SQE)
+    move = _choose(c_lo_step, dataset, labels, stats, centers, SQE)
+    assert move == (2, 1)
+    _apply(dataset, labels, stats, centers, move)
     np.testing.assert_array_equal(labels, ESCAPED_LABELS)
     np.testing.assert_allclose(centers, [[-3.0], [4.0 / 3.0]], atol=1e-12)
     np.testing.assert_array_equal(stats.member_count, [2, 3])
     # The escaped state is tie-free, so a second call certifies and declines.
-    assert not c_lo_step(dataset, labels, stats, centers, SQE)
+    assert _choose(c_lo_step, dataset, labels, stats, centers, SQE) is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -192,8 +223,9 @@ def test_c_lo_step_rejects_a_non_finite_tie_tolerance(bad, counterexample):
     dataset, _ = counterexample
     labels = KMEANS_LABELS.copy()
     stats, centers = _state(dataset, labels, 2)
+    divs = pairwise(SQE, dataset.points, centers)
     with pytest.raises(ValueError, match="finite and non-negative"):
-        c_lo_step(dataset, labels, stats, centers, SQE, tie_tolerance=bad)
+        c_lo_step(dataset, labels, stats, centers, SQE, tie_tolerance=bad, divs=divs)
     np.testing.assert_array_equal(labels, KMEANS_LABELS)
 
 
@@ -203,7 +235,9 @@ def test_c_lo_step_moves_to_largest_tied_index():
     labels = np.array([0, 0, 1, 2])
     stats, centers = _state(dataset, labels, 3)
     np.testing.assert_allclose(centers, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    assert c_lo_step(dataset, labels, stats, centers, SQE)
+    move = _choose(c_lo_step, dataset, labels, stats, centers, SQE)
+    assert move == (0, 2)
+    _apply(dataset, labels, stats, centers, move)
     np.testing.assert_array_equal(labels, [2, 0, 1, 2])
     np.testing.assert_allclose(centers[0], [2.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(centers[2], [0.0, 0.5], atol=1e-12)
@@ -214,9 +248,11 @@ def test_d_lo_step_applies_first_improving_move():
     labels = np.array([0, 1, 0, 1])
     stats, centers = _state(dataset, labels, 2)
     before = clustering_loss(dataset, labels, centers, SQE)
-    assert d_lo_step(dataset, labels, stats, centers, SQE)
+    move = _choose(d_lo_step, dataset, labels, stats, centers, SQE)
     # Point 0 -> cluster 1 (delta -26) precedes the larger improvement at
     # point 1 in the point-major, destination-minor scan.
+    assert move == (0, 1)
+    _apply(dataset, labels, stats, centers, move)
     np.testing.assert_array_equal(labels, [1, 1, 0, 1])
     after = clustering_loss(dataset, labels, cluster_stats(dataset, labels, 2).centers(), SQE)
     assert after - before == pytest.approx(-26.0, abs=1e-9)
@@ -227,9 +263,11 @@ def test_min_d_lo_step_applies_best_move():
     labels = np.array([0, 1, 0, 1])
     stats, centers = _state(dataset, labels, 2)
     before = clustering_loss(dataset, labels, centers, SQE)
-    assert min_d_lo_step(dataset, labels, stats, centers, SQE)
+    move = _choose(min_d_lo_step, dataset, labels, stats, centers, SQE)
     # Point 1 -> cluster 0 and point 2 -> cluster 1 tie at -118/3; the
     # smaller point index wins.
+    assert move == (1, 0)
+    _apply(dataset, labels, stats, centers, move)
     np.testing.assert_array_equal(labels, [0, 0, 0, 1])
     after = clustering_loss(dataset, labels, cluster_stats(dataset, labels, 2).centers(), SQE)
     assert after - before == pytest.approx(-118.0 / 3.0, abs=1e-9)
@@ -241,7 +279,9 @@ def test_min_d_lo_tie_breaks_toward_smallest_point():
     dataset = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]), np.ones(4))
     labels = np.array([1, 0, 0, 1])
     stats, centers = _state(dataset, labels, 2)
-    assert min_d_lo_step(dataset, labels, stats, centers, SQE)
+    move = _choose(min_d_lo_step, dataset, labels, stats, centers, SQE)
+    assert move == (0, 0)
+    _apply(dataset, labels, stats, centers, move)
     np.testing.assert_array_equal(labels, [0, 0, 0, 1])
 
 
@@ -252,14 +292,10 @@ def test_d_lo_step_takes_the_smaller_improving_destination():
     dataset = Dataset(np.array([[0.0], [10.0], [-3.0], [1.0]]), np.ones(4))
     labels = np.array([0, 0, 1, 2])
     stats, centers = _state(dataset, labels, 3)
-    delta = move_cost_matrix(dataset, labels, stats, centers, SQE)
+    delta = _costs(dataset, labels, stats, centers, SQE)
     assert delta[0, 1] == pytest.approx(-45.5) and delta[0, 2] == pytest.approx(-49.5)
-    assert d_lo_step(dataset, labels, stats, centers, SQE)
-    np.testing.assert_array_equal(labels, [1, 0, 1, 2])
-    labels = np.array([0, 0, 1, 2])
-    stats, centers = _state(dataset, labels, 3)
-    assert min_d_lo_step(dataset, labels, stats, centers, SQE)
-    np.testing.assert_array_equal(labels, [2, 0, 1, 2])
+    assert _choose(d_lo_step, dataset, labels, stats, centers, SQE) == (0, 1)
+    assert _choose(min_d_lo_step, dataset, labels, stats, centers, SQE) == (0, 2)
 
 
 def test_min_d_lo_tie_breaks_toward_smaller_cluster_of_the_same_point():
@@ -268,10 +304,9 @@ def test_min_d_lo_tie_breaks_toward_smaller_cluster_of_the_same_point():
     dataset = Dataset(np.array([[0.0], [10.0], [-2.0], [2.0]]), np.ones(4))
     labels = np.array([0, 0, 1, 2])
     stats, centers = _state(dataset, labels, 3)
-    delta = move_cost_matrix(dataset, labels, stats, centers, SQE)
+    delta = _costs(dataset, labels, stats, centers, SQE)
     assert delta[0, 1] == delta[0, 2] == delta.min()
-    assert min_d_lo_step(dataset, labels, stats, centers, SQE)
-    np.testing.assert_array_equal(labels, [1, 0, 1, 2])
+    assert _choose(min_d_lo_step, dataset, labels, stats, centers, SQE) == (0, 1)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -289,21 +324,16 @@ def test_move_costs_and_steps_do_not_depend_on_divs_layout(kind):
         costs = [move_cost_matrix(dataset, labels, stats, centers, spec, m) for m in layouts]
         np.testing.assert_array_equal(costs[0], costs[1])
         for step in (d_lo_step, min_d_lo_step):
-            moved = []
-            for m in layouts:
-                state = labels.copy(), *_state(dataset, labels, 3)
-                moved.append((step(dataset, *state, spec, divs=m), *state))
-            assert moved[0][0] == moved[1][0]
-            np.testing.assert_array_equal(moved[0][1], moved[1][1])
-            np.testing.assert_array_equal(moved[0][3], moved[1][3])
+            moves = [_choose(step, dataset, labels, stats, centers, spec, divs=m) for m in layouts]
+            assert moves[0] == moves[1]
 
 
 def test_steps_decline_at_single_move_optimum(counterexample):
     dataset, _ = counterexample
     labels = ESCAPED_LABELS.copy()
     stats, centers = _state(dataset, labels, 2)
-    assert not d_lo_step(dataset, labels, stats, centers, SQE)
-    assert not min_d_lo_step(dataset, labels, stats, centers, SQE)
+    assert _choose(d_lo_step, dataset, labels, stats, centers, SQE) is None
+    assert _choose(min_d_lo_step, dataset, labels, stats, centers, SQE) is None
 
 
 def test_true_steps_strictly_decrease_loss():
@@ -317,7 +347,9 @@ def test_true_steps_strictly_decrease_loss():
         stats, centers = _state(dataset, labels, k)
         before = clustering_loss(dataset, labels, centers, spec)
         step = (d_lo_step, min_d_lo_step)[trial % 2]
-        if step(dataset, labels, stats, centers, spec):
+        move = _choose(step, dataset, labels, stats, centers, spec)
+        if move is not None:
+            _apply(dataset, labels, stats, centers, move)
             kept = np.flatnonzero(stats.member_count > 0)
             remap = {int(c): i for i, c in enumerate(kept)}
             squeezed = np.array([remap[int(c)] for c in labels])
@@ -348,7 +380,7 @@ def test_escapes_refuse_zero_gain_moves_on_tie_heavy_grid():
     report = run(dataset, EngineConfig(k=6, divergence=SQE, variant="min-d-lo", seed=2))
     labels = report.final_labels.copy()
     stats, centers = _state(dataset, labels, 6)
-    delta = move_cost_matrix(dataset, labels, stats, centers, SQE)
+    delta = _costs(dataset, labels, stats, centers, SQE)
     point, dst = np.unravel_index(int(np.argmin(delta)), delta.shape)
     # The best move looks improving in floating point, within the floor ...
     assert -rounding_floor(report.final_loss) < delta[point, dst] < 0.0
@@ -356,9 +388,45 @@ def test_escapes_refuse_zero_gain_moves_on_tie_heavy_grid():
     moved = labels.copy()
     moved[point] = dst
     assert exact_sqe_loss(dataset, moved) == exact_sqe_loss(dataset, labels)
-    assert not d_lo_step(dataset, labels, stats, centers, SQE)
-    assert not min_d_lo_step(dataset, labels, stats, centers, SQE)
+    assert _choose(d_lo_step, dataset, labels, stats, centers, SQE) is None
+    assert _choose(min_d_lo_step, dataset, labels, stats, centers, SQE) is None
     np.testing.assert_array_equal(labels, report.final_labels)
+
+
+def _sweep_fixed_points(kind, rng):
+    """(dataset, spec, labels) at fixed points of the sweep, half of them on
+    tie-heavy grids, then two clusters that share a center, whose points
+    are all tied."""
+    for trial in range(12):
+        if trial % 2:
+            dataset = synth_uniform_grid(int(rng.integers(20, 80)), 1 + trial % 3 // 2, trial)
+            k = int(rng.integers(2, min(8, dataset.n) + 1))
+        else:
+            dataset, k = random_instance(rng, n_range=(8, 30), k_range=(2, 5))
+        spec = spec_for(kind, rng, dataset.dim)
+        yield dataset, spec, run(dataset, EngineConfig(k=k, divergence=spec, seed=trial)).final_labels
+    dataset = Dataset(np.array([[1.0], [3.0], [1.5], [2.5], [8.0]]), np.ones(5))
+    yield dataset, spec_for(kind, rng, 1), np.array([0, 0, 1, 1, 2])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_steps_return_a_move_and_leave_their_arguments_untouched(kind):
+    # Each step only chooses: engine.run makes the move. Every array the
+    # step is given keeps its bits, and the move is a pair of Python ints.
+    moves = dict.fromkeys(STEPS, 0)
+    for dataset, spec, labels in _sweep_fixed_points(kind, np.random.default_rng(19)):
+        stats, centers = _state(dataset, labels, int(labels.max()) + 1)
+        divs = pairwise(spec, dataset.points, centers)
+        arrays = (labels, stats.weight_sum, stats.coord_sum, stats.member_count, centers, divs)
+        before = [a.copy() for a in arrays]
+        for step in STEPS:
+            move = _choose(step, dataset, labels, stats, centers, spec, divs=divs)
+            for old, new in zip(before, arrays):
+                assert old.dtype == new.dtype and old.tobytes() == new.tobytes(), step.__name__
+            if move is not None:
+                assert type(move) is tuple and [type(v) for v in move] == [int, int]
+                moves[step] += 1
+    assert all(moves.values()), moves
 
 
 @pytest.mark.parametrize("offset", [1e3, 1e5])

@@ -23,7 +23,7 @@ from lokmeans import (
     run,
 )
 from lokmeans.data_io import synth_uniform_grid
-from lokmeans.divergence import ITAKURA_SAITO, KL, SQUARED_MAHALANOBIS
+from lokmeans.divergence import ITAKURA_SAITO, KL, SQUARED_MAHALANOBIS, pairwise
 from lokmeans.engine import init_centers
 from lokmeans.localopt import move_cost_matrix
 from lokmeans.model import EmptyClusterError, cluster_stats, origin_loss, rounding_floor
@@ -127,6 +127,21 @@ def test_certify_c_local_flags_duplicate_centers():
     cert = certify_c_local(dataset, labels, centers, SQE)
     assert cert.kind == "not-local"
     assert "share a center" in cert.note
+    # Two shared centers, 0 = 3 and 1 = 2: the first pair a < b in
+    # row-major order is reported, not the first by b.
+    points = np.array([[0.0], [4.0], [10.0], [14.0], [11.0], [13.0], [1.0], [3.0]])
+    dataset = Dataset(points, np.ones(8))
+    labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
+    centers = cluster_stats(dataset, labels, 4).centers()
+    np.testing.assert_array_equal(centers, [[2.0], [12.0], [12.0], [2.0]])
+    cert = certify_c_local(dataset, labels, centers, SQE)
+    assert cert.note == "clusters 0 and 3 share a center; criterion inapplicable"
+
+
+def test_certify_c_local_rejects_centers_of_another_dimension():
+    dataset = Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 1.0]]), np.ones(3))
+    with pytest.raises(ValueError, match=r"centers shape \(2, 3\) does not match dimension 2"):
+        certify_c_local(dataset, np.array([0, 1, 1]), np.zeros((2, 3)), SQE)
 
 
 def test_certify_c_local_flags_misassigned_point(counterexample):
@@ -159,7 +174,9 @@ def test_certify_d_local_agrees_with_move_cost_matrix():
         report = run(dataset, EngineConfig(k=k, divergence=spec, seed=trial))
         labels = report.final_labels
         stats = cluster_stats(dataset, labels, k)
-        matrix = move_cost_matrix(dataset, labels, stats, stats.centers(), spec)
+        centers = stats.centers()
+        divs = pairwise(spec, dataset.points, centers)
+        matrix = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
         cert = certify_d_local(dataset, labels, k, spec)
         closed = float(matrix.min())
         scale = max(1.0, abs(closed), abs(cert.worst_delta))
