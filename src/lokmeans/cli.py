@@ -8,14 +8,15 @@ Subcommands
     verify          certify a user-supplied labeling, optionally vs brute force
 
 Each subcommand loads its inputs, calls the library (the protocols behind
-``bench``, ``sweep`` and ``counterexample`` live in ``lokmeans.experiments``)
-and formats the result.
+``bench``, ``sweep`` and ``counterexample`` live in ``lokmeans.experiments``),
+builds a payload and its text, and hands both to ``_emit``: ``--json``
+picks strict JSON of the payload over the text (CSV for ``bench`` and
+``sweep``), and ``--out FILE`` sends that output to FILE instead of stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -24,14 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import engine, experiments
-from .data_io import (
-    counterexample_instance,
-    dedup_merge,
-    filter_domain,
-    load_csv,
-    load_mahalanobis_csv,
-    synth_uniform_grid,
-)
+from .data_io import dedup_merge, filter_domain, load_csv, load_mahalanobis_csv, synth_uniform_grid
 from .divergence import ITAKURA_SAITO, KL, SQUARED_EUCLIDEAN, SQUARED_MAHALANOBIS, DivergenceSpec
 from .engine import INITS, VARIANTS, EngineConfig
 from .experiments import IMPROVEMENT_METRICS
@@ -69,7 +63,7 @@ def _parse_grid(text: str, flag: str) -> list[int]:
 
 def _divergence_from_args(args) -> DivergenceSpec:
     kind = DIVERGENCE_FLAGS[args.divergence]
-    path = getattr(args, "mahalanobis_matrix", None)
+    path = args.mahalanobis_matrix
     if kind == SQUARED_MAHALANOBIS:
         if not path:
             raise ValueError("--divergence mahalanobis requires --mahalanobis-matrix")
@@ -80,12 +74,12 @@ def _divergence_from_args(args) -> DivergenceSpec:
 
 
 def _dataset_from_args(args, spec: DivergenceSpec) -> Dataset:
-    if getattr(args, "data", None) and getattr(args, "synth", None):
+    if args.data and args.synth:
         raise ValueError("pass either --data or --synth, not both")
-    if getattr(args, "data", None):
+    if args.data:
         raw = load_csv(args.data, skip_header=args.skip_header, weight_column=args.weights_col)
         dataset = dedup_merge(raw)
-    elif getattr(args, "synth", None):
+    elif args.synth:
         n, d = _parse_synth(args.synth)
         dataset = synth_uniform_grid(n, d, _derived_seed(args.seed, 0xDA7A))
     else:
@@ -127,13 +121,18 @@ def _jsonable(value):
     return value
 
 
-def _emit_json(payload, args) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, allow_nan=False)
-    if getattr(args, "out", None):
+def _emit(args, payload, lines: list[str]) -> int:
+    """Write ``payload`` as JSON under ``--json``, else ``lines``, to ``--out`` or stdout."""
+    if args.json:
+        text = json.dumps(_jsonable(payload), indent=2, allow_nan=False)
+    else:
+        text = "\n".join(lines)
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)
+    return 0
 
 
 def cmd_run(args) -> int:
@@ -154,21 +153,17 @@ def cmd_run(args) -> int:
         "report": asdict(report),
         "certificates": certs,
     }
-    if args.json or args.out:
-        _emit_json(payload, args)
-    if not args.json:
-        print(f"dataset: {dataset.n} points, {dataset.dim} dims, total weight {dataset.total_weight:g}")
-        print(
-            f"variant {config.variant}: loss {report.final_loss:.6f}, "
-            f"{report.iterations} iterations, {report.new_step_invocations} escape steps, "
-            f"{report.empty_cluster_repairs} repairs, {report.termination}"
-        )
-        c_kind = certs["c_local"]["kind"]
-        d_kind = certs["d_local"]["kind"] if certs["d_local"] else "skipped"
-        print(f"certificates: continuous {c_kind}, discrete {d_kind}")
-        if dataset.n <= 50:
-            print(f"labels: {report.final_labels.tolist()}")
-    return 0
+    d_kind = certs["d_local"]["kind"] if certs["d_local"] else "skipped"
+    lines = [
+        f"dataset: {dataset.n} points, {dataset.dim} dims, total weight {dataset.total_weight:g}",
+        f"variant {config.variant}: loss {report.final_loss:.6f}, "
+        f"{report.iterations} iterations, {report.new_step_invocations} escape steps, "
+        f"{report.empty_cluster_repairs} repairs, {report.termination}",
+        f"certificates: continuous {certs['c_local']['kind']}, discrete {d_kind}",
+    ]
+    if dataset.n <= 50:
+        lines.append(f"labels: {report.final_labels.tolist()}")
+    return _emit(args, payload, lines)
 
 
 BENCH_COLUMNS = [
@@ -193,43 +188,15 @@ def _format_cell(value) -> str:
 
 def cmd_bench(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    fixed_centers, k = None, None
-    if args.counterexample:
-        for flag, given in (
-            ("--data", args.data),
-            ("--synth", args.synth),
-            ("--k", args.k is not None),
-            ("--divergence", args.divergence != "sq-euclidean"),
-            ("--mahalanobis-matrix", args.mahalanobis_matrix is not None),
-        ):
-            if given:
-                raise ValueError(f"--counterexample brings its own instance; {flag} does not apply")
-        dataset, fixed_centers = counterexample_instance()
-        spec, k = DivergenceSpec.squared_euclidean(), 2
-    elif args.k is None:
-        raise ValueError("--k is required unless --counterexample is given")
-    else:
-        spec = _divergence_from_args(args)
-        dataset = _dataset_from_args(args, spec)
-    base = _config_from_args(args, spec, k=k)
+    spec = _divergence_from_args(args)
+    dataset = _dataset_from_args(args, spec)
     records, summaries = experiments.run_bench(
-        dataset, base, variants, args.replicates, fixed_centers
+        dataset, _config_from_args(args, spec), variants, args.replicates
     )
-
-    if args.json:
-        _emit_json({"records": [asdict(r) for r in records], "summaries": summaries}, args)
-        return 0
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=BENCH_COLUMNS)
-            writer.writeheader()
-            for summary in summaries:
-                writer.writerow({key: _format_cell(summary[key]) for key in BENCH_COLUMNS})
-    header = "  ".join(f"{name:>12}" for name in BENCH_COLUMNS)
-    print(header)
+    lines = [",".join(BENCH_COLUMNS)]
     for summary in summaries:
-        print("  ".join(f"{_format_cell(summary[name]):>12}" for name in BENCH_COLUMNS))
-    return 0
+        lines.append(",".join(_format_cell(summary[name]) for name in BENCH_COLUMNS))
+    return _emit(args, {"records": [asdict(r) for r in records], "summaries": summaries}, lines)
 
 
 def cmd_sweep(args) -> int:
@@ -240,43 +207,26 @@ def cmd_sweep(args) -> int:
     # The base's k is a placeholder: each cell sets its own.
     base = _config_from_args(args, _divergence_from_args(args), k=k_grid[0])
     matrices = experiments.run_sweep(base, n_grid, k_grid, args.synth_d, args.replicates)
-    if args.json:
-        payload = dict(matrices)
-        payload["n_grid"] = n_grid
-        payload["k_grid"] = k_grid
-        _emit_json(payload, args)
-        return 0
+    lines = []
     for metric in IMPROVEMENT_METRICS:
-        rows = [["n\\k"] + [str(k) for k in k_grid]]
-        for row, n in enumerate(n_grid):
-            rows.append([str(n)] + [_format_cell(float(v)) for v in matrices[metric][row]])
-        if args.out:
-            path = f"{args.out}_{metric}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as handle:
-                csv.writer(handle).writerows(rows)
-            print(f"wrote {path}")
-        else:
-            print(f"# {metric}")
-            for line in rows:
-                print(",".join(line))
-    return 0
+        lines += [f"# {metric}", ",".join(["n\\k"] + [str(k) for k in k_grid])]
+        for n, row in zip(n_grid, matrices[metric]):
+            lines.append(",".join([str(n)] + [_format_cell(float(v)) for v in row]))
+    return _emit(args, {**matrices, "n_grid": n_grid, "k_grid": k_grid}, lines)
 
 
 def cmd_counterexample(args) -> int:
     payload = experiments.run_counterexample(args.max_iters, args.tie_tol)
-    if args.json:
-        _emit_json(payload, args)
-        return 0
-    print("five-point instance, k = 2, squared Euclidean, centers seeded at (0, 2.5)")
+    lines = ["five-point instance, k = 2, squared Euclidean, centers seeded at (0, 2.5)"]
     for variant, entry in payload["variants"].items():
         certs = entry["certificates"]
         d_kind = certs["d_local"]["kind"] if certs["d_local"] else "skipped"
         percent = ", ".join(f"{v:.1f}%" for v in entry["normalized_trajectory_percent"])
-        print(
+        lines.append(
             f"  {variant:>9}: loss {entry['final_loss']:.6f}  iterations {entry['iterations']}"
             f"  continuous {certs['c_local']['kind']}  discrete {d_kind}  trajectory [{percent}]"
         )
-    return 0
+    return _emit(args, payload, lines)
 
 
 def cmd_verify(args) -> int:
@@ -293,15 +243,16 @@ def cmd_verify(args) -> int:
         )
     k = args.k if args.k is not None else int(labels.max()) + 1
     payload = experiments.certify_labels(dataset, labels, k, spec, args.tie_tol, args.brute_limit)
-    if args.json:
-        _emit_json(payload, args)
-        return 0
     c_cert = payload["c_local"]
-    print(f"loss {payload['loss']:.6f} over {dataset.n} points, k = {k}")
     note = f" ({c_cert['note']})" if c_cert["note"] else ""
-    print(f"continuous certificate: {c_cert['kind']}{note}")
-    if payload["d_local"]:
-        d_cert = payload["d_local"]
+    lines = [
+        f"loss {payload['loss']:.6f} over {dataset.n} points, k = {k}",
+        f"continuous certificate: {c_cert['kind']}{note}",
+    ]
+    d_cert = payload["d_local"]
+    if d_cert is None:
+        lines.append("discrete certificate: skipped (instance too large)")
+    else:
         line = f"discrete certificate: {d_cert['kind']}"
         if d_cert["witness"]:
             w = d_cert["witness"]
@@ -309,12 +260,13 @@ def cmd_verify(args) -> int:
                 f" (move point {w['point']} from cluster {w['from_cluster']}"
                 f" to {w['to_cluster']}: {w['delta']:+.6f})"
             )
-        print(line)
-    else:
-        print("discrete certificate: skipped (instance too large)")
+        lines.append(line)
     if "global_loss" in payload:
-        print(f"gap to global optimum: {payload['gap_to_global']:.6f} (global {payload['global_loss']:.6f})")
-    return 0
+        lines.append(
+            f"gap to global optimum: {payload['gap_to_global']:.6f}"
+            f" (global {payload['global_loss']:.6f})"
+        )
+    return _emit(args, payload, lines)
 
 
 def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
@@ -345,7 +297,7 @@ def _add_model_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="write results to this path")
+    parser.add_argument("--out", help="write the output to this file instead of stdout")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
@@ -365,10 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = commands.add_parser("bench", help="replicated benchmark across variants")
     _add_dataset_flags(p_bench)
-    p_bench.add_argument(
-        "--counterexample", action="store_true", help="use the fixed five-point instance"
-    )
-    p_bench.add_argument("--k", type=int, help="number of clusters")
+    p_bench.add_argument("--k", type=int, required=True, help="number of clusters")
     _add_model_flags(p_bench, *(flag for flag in _MODEL_FLAGS if flag != "--variant"))
     p_bench.add_argument(
         "--variants",

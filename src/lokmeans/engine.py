@@ -135,7 +135,8 @@ def init_centers(
     weight times divergence to the nearest chosen center. Divergences come
     from the exact closed form (``rowwise``), under which a chosen point has
     exactly zero divergence to itself, so the draw is without replacement
-    automatically.
+    automatically. Raises ValueError when every remaining point's
+    divergence to the chosen centers is zero.
     """
     if k > dataset.n:
         raise ValueError(f"cannot choose {k} distinct centers from {dataset.n} points")
@@ -149,8 +150,15 @@ def init_centers(
     chosen[0] = rng.choice(dataset.n, p=weights / weights.sum())
     nearest = rowwise(spec, dataset.points, dataset.points[chosen[0]])
     for j in range(1, k):
-        mass = weights * nearest
-        chosen[j] = rng.choice(dataset.n, p=mass / mass.sum())
+        # Clamped as pairwise clamps: rowwise can round a zero divergence below 0.
+        mass = weights * np.maximum(nearest, 0.0)
+        total = mass.sum()
+        if total <= 0.0:
+            raise ValueError(
+                f"kmeans++ cannot choose center {j + 1} of {k}: no remaining point has "
+                "a positive divergence to the chosen centers"
+            )
+        chosen[j] = rng.choice(dataset.n, p=mass / total)
         nearest = np.minimum(nearest, rowwise(spec, dataset.points, dataset.points[chosen[j]]))
     return dataset.points[chosen].copy()
 

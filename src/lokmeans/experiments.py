@@ -160,13 +160,12 @@ def run_bench(
     base_config: EngineConfig,
     variants: list[str],
     replicates: int,
-    fixed_centers: np.ndarray | None = None,
 ) -> tuple[list[BenchRecord], list[dict]]:
     """Run every variant against shared per-replicate initial centers.
 
     Replicate ``i`` runs with seed ``derived_seed(base_config.seed, 1, i)``
-    and draws its centers from it, unless ``fixed_centers`` are given.
-    Plain K-means ("none") is added when ``variants`` lacks it. Returns one
+    and draws its centers from it with ``base_config``'s init. Plain
+    K-means ("none") is added when ``variants`` lacks it. Returns one
     record per run, replicate-major, and one summary per variant.
     """
     _check_replicates(replicates)
@@ -175,9 +174,7 @@ def run_bench(
     if "none" not in variants:
         variants = ["none"] + variants
     nested = [
-        _paired_runs(
-            dataset, base_config, variants, derived_seed(base_config.seed, 1, index), fixed_centers
-        )
+        _paired_runs(dataset, base_config, variants, derived_seed(base_config.seed, 1, index))
         for index in range(replicates)
     ]
     records = [

@@ -41,6 +41,8 @@ NOT_LOCAL = "not-local"
 BRUTE_FORCE_LIMIT = 10**7
 
 _DUPLICATE_CENTER_TOLERANCE = 1e-12
+# Relative drift from the optimal centers above which certify_c_local rejects them.
+_CENTER_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -185,17 +187,17 @@ def certify_c_local(
     centers: np.ndarray,
     spec: DivergenceSpec,
     tie_tolerance: float = TIE_TOLERANCE,
-    center_tolerance: float = 1e-9,
 ) -> Certificate:
     """Check the conditions for optimality against continuous perturbations.
 
     The assignment must be a fixed point (each point at a nearest center),
     with no cross-cluster ties within the band, no empty clusters, and
     pairwise-distinct centers. Duplicate centers make the criterion
-    inapplicable, reported as not-local with a note.
+    inapplicable, reported as not-local with a note. Centers that drift
+    from the assignment's optimal ones by more than ``_CENTER_TOLERANCE``
+    (relative) raise ValueError.
     """
     check_tolerance("tie_tolerance", tie_tolerance)
-    check_tolerance("center_tolerance", center_tolerance)
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[1] != dataset.dim:
         raise ValueError(f"centers shape {centers.shape} does not match dimension {dataset.dim}")
@@ -213,7 +215,7 @@ def certify_c_local(
 
     optimal = stats.coord_sum / stats.weight_sum[:, None]
     drift = np.abs(centers - optimal).max()
-    if drift > center_tolerance * (1.0 + np.abs(optimal).max()):
+    if drift > _CENTER_TOLERANCE * (1.0 + np.abs(optimal).max()):
         raise ValueError(
             f"centers are not optimal for the assignment (max drift {drift:.3e})"
         )

@@ -1,12 +1,17 @@
 """End-to-end command line coverage through main(argv)."""
 
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lokmeans.cli import BENCH_COLUMNS, _jsonable, main
+from lokmeans import engine
+from lokmeans.cli import BENCH_COLUMNS, _jsonable, build_parser, main
 from lokmeans.experiments import IMPROVEMENT_METRICS
 
 
@@ -208,57 +213,6 @@ def test_run_rejects_a_non_finite_tie_tolerance(bad, capsys):
     assert "tolerances must be finite and non-negative" in capsys.readouterr().err
 
 
-def test_bench_counterexample_frozen_summary(capsys):
-    code = main(
-        [
-            "bench",
-            "--counterexample",
-            "--replicates",
-            "1",
-            "--variants",
-            "c-lo",
-            "--json",
-        ]
-    )
-    assert code == 0
-    payload, _ = _json_output(capsys)
-    summaries = {row["variant"]: row for row in payload["summaries"]}
-    assert set(summaries) == {"none", "c-lo"}
-
-    none = summaries["none"]
-    assert none["loss_mean"] == pytest.approx(8.5, abs=1e-9)
-    assert none["improvement_ratio_mean"] == 0.0
-    assert none["loss_variance"] is None  # single replicate
-
-    tuned = summaries["c-lo"]
-    assert tuned["loss_mean"] == pytest.approx(31.0 / 6.0, abs=1e-9)
-    assert tuned["improvement_proportion"] == pytest.approx(1.0)
-    assert tuned["improvement_ratio_mean"] == pytest.approx(
-        (8.5 - 31.0 / 6.0) / 8.5, abs=1e-9
-    )
-    assert tuned["iteration_increase_ratio_mean"] == pytest.approx(0.5, abs=1e-12)
-    assert tuned["new_step_invocations_mean"] == pytest.approx(1.0)
-    assert len(payload["records"]) == 2
-
-
-@pytest.mark.parametrize(
-    "extra, flag",
-    [
-        (["--synth", "n=100,d=3"], "--synth"),
-        (["--data", "points.csv"], "--data"),
-        (["--k", "5"], "--k"),
-        (["--divergence", "kl"], "--divergence"),
-        (["--mahalanobis-matrix", "matrix.csv"], "--mahalanobis-matrix"),
-    ],
-)
-def test_bench_counterexample_rejects_dataset_and_model_flags(extra, flag, capsys):
-    argv = ["bench", "--counterexample", "--variants", "d-lo", "--replicates", "2"]
-    assert main(argv + extra) == 2
-    captured = capsys.readouterr()
-    assert f"{flag} does not apply" in captured.err
-    assert captured.out == ""
-
-
 @pytest.mark.parametrize("variants", ["d-lo,d-lo", "none,none", "d-lo,none,d-lo"])
 def test_bench_rejects_a_repeated_variant(variants, capsys):
     argv = ["bench", "--synth", "n=40,d=1", "--k", "3", "--replicates", "2"]
@@ -304,9 +258,11 @@ def test_replicates_below_one_rejected(command, capsys):
     assert captured.out == ""
 
 
-def test_bench_requires_k_without_counterexample(capsys):
-    assert main(["bench", "--synth", "n=20,d=1"]) == 2
-    assert "--k is required" in capsys.readouterr().err
+def test_bench_requires_k(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--synth", "n=20,d=1"])
+    assert info.value.code == 2
+    assert "the following arguments are required: --k" in capsys.readouterr().err
 
 
 def test_bench_writes_summary_csv(tmp_path):
@@ -362,29 +318,20 @@ def test_sweep_json_matrices(capsys):
             assert cell is None or 0.0 <= cell <= 1.0
 
 
-def test_sweep_writes_one_csv_per_metric(tmp_path, capsys):
-    prefix = tmp_path / "sweep"
-    code = main(
-        [
-            "sweep",
-            "--n-grid",
-            "20",
-            "--k-grid",
-            "2,3",
-            "--replicates",
-            "2",
-            "--variant",
-            "d-lo",
-            "--out",
-            str(prefix),
-        ]
-    )
-    assert code == 0
-    for metric in IMPROVEMENT_METRICS:
-        path = tmp_path / f"sweep_{metric}.csv"
-        assert path.exists()
-        first = path.read_text().splitlines()[0]
-        assert first == "n\\k,2,3"
+def test_sweep_out_writes_one_csv_file(tmp_path, capsys):
+    argv = ["sweep", "--n-grid", "20", "--k-grid", "2,3", "--replicates", "2", "--variant", "d-lo"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "sweep.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text() == text
+    lines = text.splitlines()
+    assert [line for line in lines if line.startswith("#")] == [
+        f"# {metric}" for metric in IMPROVEMENT_METRICS
+    ]
+    assert lines[1] == "n\\k,2,3"
 
 
 def test_sweep_rejects_plain_variant(capsys):
@@ -466,3 +413,46 @@ def test_json_out_file_round_trip(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["report"]["termination"] == "converged"
+
+
+def _output_argv(command, tmp_path):
+    if command == "verify":
+        data = _write_counterexample_csv(tmp_path)
+        return ["verify", "--data", data, "--labels", _write_labels(tmp_path, [0, 0, 0, 1, 1])]
+    return {
+        "run": ["run", "--synth", "n=20,d=1", "--k", "2"],
+        "bench": ["bench", "--synth", "n=20,d=1", "--k", "2", "--replicates", "2"],
+        "sweep": ["sweep", "--n-grid", "20", "--k-grid", "2,3", "--replicates", "2"],
+        "counterexample": ["counterexample"],
+    }[command]
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["run", "bench", "sweep", "counterexample", "verify"])
+def test_out_writes_exactly_what_stdout_carries(command, fmt, tmp_path, monkeypatch, capsys):
+    # A fixed clock makes the timing fields of two runs equal.
+    monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    argv = _output_argv(command, tmp_path) + fmt
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    assert expected
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_readme_documents_every_subcommand_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    accepted = {
+        option
+        for parser in commands.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+    }
+    assert accepted - {"-h", "--help"} == set(re.findall(r"--[a-z][a-z0-9-]*", section))

@@ -103,6 +103,33 @@ def test_kmeanspp_draws_without_replacement_up_to_k_equals_n():
             assert np.unique(centers, axis=0).shape[0] == dataset.n, (kind, seed)
 
 
+def _nextafter_pairs() -> Dataset:
+    # 50 points and their one-ulp neighbours: 100 distinct rows whose pair
+    # divergences round to zero, or just below it.
+    base = np.random.default_rng(0).uniform(1.0, 2.0, size=(50, 2))
+    return Dataset(np.vstack([base, np.nextafter(base, 3.0)]), np.ones(100))
+
+
+@pytest.mark.parametrize("k", [3, 40])
+def test_kmeanspp_survives_kl_divergences_rounded_below_zero(k):
+    dataset = _nextafter_pairs()
+    rows = {row.tobytes() for row in dataset.points}
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        centers = init_centers(dataset, k, "kmeans++", DivergenceSpec.kl(), rng)
+        assert np.unique(centers, axis=0).shape[0] == k
+        assert all(center.tobytes() in rows for center in centers)
+
+
+def test_kmeanspp_rejects_a_draw_with_no_positive_mass():
+    # Itakura-Saito gives every neighbour zero divergence to its partner, so
+    # after 50 draws no remaining point carries mass.
+    dataset = _nextafter_pairs()
+    config = EngineConfig(k=51, divergence=DivergenceSpec.itakura_saito(), init="kmeans++")
+    with pytest.raises(ValueError, match="no remaining point has a positive divergence"):
+        run(dataset, config)
+
+
 def test_init_rejects_k_above_n():
     dataset = Dataset(np.array([[0.0], [1.0]]), np.ones(2))
     with pytest.raises(ValueError, match="distinct centers"):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lokmeans import Dataset, DivergenceSpec, EngineConfig, cli, experiments
-from lokmeans.data_io import synth_uniform_grid
+from lokmeans.data_io import counterexample_instance, synth_uniform_grid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SQE = DivergenceSpec.squared_euclidean()
@@ -28,6 +28,32 @@ def test_run_bench_rejects_a_repeated_variant(variants):
     dataset = synth_uniform_grid(30, 2, 3)
     with pytest.raises(ValueError, match="each variant may be listed once"):
         experiments.run_bench(dataset, EngineConfig(k=3, divergence=SQE), variants, 2)
+
+
+def test_improvement_metrics_on_the_counterexample():
+    # Frozen numbers: c-lo escapes the stalled K-means fixed point (loss
+    # 8.5) to 31/6 in one escape step and half as many extra iterations.
+    dataset, initial = counterexample_instance()
+    config = EngineConfig(k=2, divergence=SQE)
+    plain, tuned = experiments._paired_runs(dataset, config, ("none", "c-lo"), 0, initial)
+    assert plain.final_loss == pytest.approx(8.5, abs=1e-9)
+    assert tuned.final_loss == pytest.approx(31.0 / 6.0, abs=1e-9)
+    metrics = experiments._improvement_metrics([plain], [tuned])
+    assert metrics["improvement_proportion"] == pytest.approx(1.0)
+    assert metrics["improvement_ratio_mean"] == pytest.approx((8.5 - 31.0 / 6.0) / 8.5, abs=1e-9)
+    assert metrics["iteration_increase_ratio_mean"] == pytest.approx(0.5, abs=1e-12)
+    assert metrics["new_step_invocations_mean"] == pytest.approx(1.0)
+
+
+def test_run_bench_single_replicate_summaries():
+    dataset = synth_uniform_grid(40, 1, 5)
+    config = EngineConfig(k=3, divergence=SQE)
+    records, summaries = experiments.run_bench(dataset, config, ["c-lo"], 1)
+    assert [(r.replicate, r.variant) for r in records] == [(0, "none"), (0, "c-lo")]
+    none = summaries[0]
+    assert none["variant"] == "none"
+    assert np.isnan(none["loss_variance"])
+    assert [none[metric] for metric in experiments.IMPROVEMENT_METRICS] == [0.0] * 4
 
 
 def test_run_counterexample_applies_the_given_limits():
