@@ -17,6 +17,7 @@ picks strict JSON of the payload over the text (CSV for ``bench`` and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -301,6 +302,9 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
+# Parsing leaves the parser unchanged (each call fills a fresh namespace),
+# so one process builds it once, however many times ``main`` runs.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lokmeans",

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -30,10 +32,75 @@ def load_csv(path: str, skip_header: bool = False, weight_column: int | None = N
 
     ``weight_column`` is a zero-based index into the raw columns; the
     remaining columns become coordinates. Cells follow Python's ``float``
-    (surrounding whitespace, ``1_0``, ``+1e5``) and must be finite. Errors
-    carry one-based file row and column locations; the first bad cell in
-    file order wins, ahead of its row's column count.
+    (quoting, surrounding whitespace, ``1_0``, ``+1e5``) and must be
+    finite; weights must be positive. Errors carry one-based file row and
+    column locations; the first bad cell in file order wins, ahead of its
+    row's column count.
+
+    numpy's C reader is tried first. It converts each cell with the same
+    routine as ``float``, so a table it reads is the row loop's bit for
+    bit. A file it refuses, a file with text the two read differently, and
+    a table with no rows, a non-finite value or a weight that is not
+    positive all go to the row loop, which alone decides what is accepted
+    and words every error.
     """
+    table = _read_with_numpy(path, skip_header, weight_column)
+    if table is None:
+        table = _read_rows(path, skip_header, weight_column)
+    if weight_column is None:
+        return RawTable(table, None)
+    rows = np.delete(table, weight_column, axis=1)
+    if rows.shape[1] == 0:
+        raise CsvFormatError(f"{path}: no coordinate columns besides the weight column")
+    return RawTable(rows, table[:, weight_column])
+
+
+def _read_with_numpy(path: str, skip_header: bool, weight_column: int | None) -> np.ndarray | None:
+    """The file's table as ``np.loadtxt`` reads it, or None when the row loop
+    must decide: the file holds text numpy reads differently from the row
+    loop, numpy refused it, or the table has no rows, a non-finite value,
+    or a weight column that is out of range or not positive."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    # numpy strips the ASCII separators \x1c-\x1f around a number, which
+    # ``float`` refuses; csv refuses a field longer than its limit, and a
+    # field of an unquoted file lies within one line.
+    if any(sep in data for sep in b"\x1c\x1d\x1e\x1f") or (
+        max(map(len, data.split(b"\n"))) > csv.field_size_limit()
+    ):
+        return None
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    try:
+        # csv consumes the header record, which a quote can stretch over
+        # several lines; numpy never sees it.
+        if skip_header:
+            next(csv.reader(text), None)
+        # numpy warns on a file with no rows; the row loop reports it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = np.loadtxt(
+                text,
+                delimiter=",",
+                comments=None,
+                quotechar=None,
+                encoding="utf-8",
+                ndmin=2,
+                dtype=np.float64,
+            )
+    except ValueError:
+        return None
+    if table.shape[0] == 0 or not np.isfinite(table).all():
+        return None
+    if weight_column is not None and not (
+        0 <= weight_column < table.shape[1] and (table[:, weight_column] > 0.0).all()
+    ):
+        return None
+    return table
+
+
+def _read_rows(path: str, skip_header: bool, weight_column: int | None) -> np.ndarray:
+    """``load_csv``'s table, read one ``csv`` row at a time, with its weight
+    column checked; raises the located error of the first fault."""
     records: list[list[float]] = []
     file_rows: list[int] = []
     with open(path, newline="", encoding="utf-8") as handle:
@@ -60,7 +127,7 @@ def load_csv(path: str, skip_header: bool = False, weight_column: int | None = N
 
     table = np.asarray(records, dtype=np.float64)
     if weight_column is None:
-        return RawTable(table, None)
+        return table
     if not 0 <= weight_column < table.shape[1]:
         raise CsvFormatError(
             f"{path}: weight column {weight_column} out of range for {table.shape[1]} columns"
@@ -69,10 +136,7 @@ def load_csv(path: str, skip_header: bool = False, weight_column: int | None = N
     if (weights <= 0.0).any():
         bad = int(np.flatnonzero(weights <= 0.0)[0])
         raise CsvFormatError(f"{path}: row {file_rows[bad]}: weight must be positive")
-    rows = np.delete(table, weight_column, axis=1)
-    if rows.shape[1] == 0:
-        raise CsvFormatError(f"{path}: no coordinate columns besides the weight column")
-    return RawTable(rows, weights)
+    return table
 
 
 def load_mahalanobis_csv(path: str) -> np.ndarray:

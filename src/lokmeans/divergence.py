@@ -16,7 +16,9 @@ row term, a column term and one matrix product (Banerjee et al.,
 costs one GEMM and no (N, K, d) scratch; ``point_terms`` holds the part
 that depends on the points alone, for a caller that reuses it. ``phi``
 evaluates the generating function itself, for the d-local certificate's
-Bregman-information form.
+Bregman-information form. For Mahalanobis, ``phi`` (and so ``rowwise``)
+and ``point_terms`` both take x^T A x as one matrix product ``x @ A`` and
+a row-wise dot product with x.
 """
 
 from __future__ import annotations
@@ -152,9 +154,11 @@ def phi(spec: DivergenceSpec, x: np.ndarray) -> np.ndarray:
     """The generating function over the last axis (KL: 0 log 0 = 0).
 
     KL drops phi's linear term ``-sum(x)``: it changes no divergence.
+    Mahalanobis takes ``x @ A`` and then its row-wise dot product with
+    ``x``, as ``point_terms`` forms its row term.
     """
     if spec.matrix is not None:
-        return np.einsum("...i,ij,...j->...", x, spec.matrix, x)
+        return np.einsum("...i,...i->...", x @ spec.matrix, x)
     if spec.quadratic:
         return np.einsum("...i,...i->...", x, x)
     if spec.kind == KL:

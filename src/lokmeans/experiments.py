@@ -81,11 +81,15 @@ def certify_labels(
 ) -> dict:
     """Loss and certificates of a labeling at its optimal centers, plus the
     global optimum when ``k**n`` is within ``brute_limit`` and ``BRUTE_FORCE_LIMIT``."""
-    stats = model.cluster_stats(dataset, labels, k)
-    empty = np.flatnonzero(stats.member_count == 0)
-    if empty.size:
-        raise ValueError(f"cluster {int(empty[0])} is empty under the given labels")
-    centers = stats.centers()
+    labels = model.check_labels(labels, dataset.n, k)
+    # The first unused label, found before any (k, d) statistics exist:
+    # k may be far above n when it comes from a file's largest label.
+    used = np.unique(labels)
+    if used.size < k:
+        gaps = np.flatnonzero(used != np.arange(used.size))
+        first = int(gaps[0]) if gaps.size else used.size
+        raise ValueError(f"cluster {first} is empty under the given labels")
+    centers = model.cluster_stats(dataset, labels, k).centers()
     loss = model.clustering_loss(dataset, labels, centers, spec)
     c_cert = verify.certify_c_local(dataset, labels, centers, spec, tie_tolerance=tie_tolerance)
     payload = {

@@ -202,6 +202,13 @@ def reference_rows_distinct(points):
     return np.unique(points, axis=0).shape[0] == points.shape[0]
 
 
+def reference_mahalanobis_phi(matrix, x):
+    """x^T A x over the last axis as one three-operand ``einsum``: the form
+    ``divergence.phi`` used before it took ``x @ A`` first. The two differ
+    only by rounding."""
+    return np.einsum("...i,ij,...j->...", x, matrix, x)
+
+
 def random_spd(rng, d):
     """A random symmetric positive definite matrix of order d."""
     basis = rng.normal(size=(d, d))

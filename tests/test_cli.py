@@ -4,12 +4,15 @@ import argparse
 import csv
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import lokmeans
 from lokmeans import engine
 from lokmeans.cli import BENCH_COLUMNS, _jsonable, build_parser, main
 from lokmeans.experiments import IMPROVEMENT_METRICS
@@ -456,3 +459,29 @@ def test_readme_documents_every_subcommand_flag():
         for option in action.option_strings
     }
     assert accepted - {"-h", "--help"} == set(re.findall(r"--[a-z][a-z0-9-]*", section))
+
+
+def test_one_process_parses_each_command_as_a_fresh_process(tmp_path, capsys):
+    # The parser is built once per process; no parse may leave state behind
+    # for the next one, such as flags of an earlier call.
+    data = _write_counterexample_csv(tmp_path)
+    calls = [
+        ["run", "--synth", "n=30,d=2", "--k", "3", "--variant", "d-lo", "--init", "kmeans++",
+         "--seed", "4"],
+        ["verify", "--data", data, "--labels", _write_labels(tmp_path, [0, 0, 0, 1, 1])],
+        ["run", "--data", data, "--k", "2", "--divergence", "sq-euclidean"],
+    ]
+    src = str(Path(lokmeans.__file__).resolve().parents[1])
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "lokmeans.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            timeout=120,
+        )
+        assert (code, captured.out, captured.err) == (0, fresh.stdout, fresh.stderr)
+        assert fresh.returncode == 0
+    assert build_parser() is build_parser()

@@ -1,5 +1,8 @@
 """CSV ingestion, duplicate merging, domain filtering, and synthesis."""
 
+import csv
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -147,6 +150,53 @@ def test_load_csv_matches_the_reference_on_a_full_precision_table(tmp_path):
     outcome = _outcome(load_csv, path, weight_column=0)
     assert outcome == _outcome(reference_load_csv, path, weight_column=0)
     np.testing.assert_array_equal(load_csv(path).rows, table)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n\n", "\r\n\r\n\r\n"], ids=["empty", "lf", "crlf"])
+@pytest.mark.parametrize("skip_header", [False, True])
+def test_load_csv_reports_no_data_rows_without_a_warning(tmp_path, text, skip_header):
+    path = _write(tmp_path, text)
+    with pytest.raises(CsvFormatError, match="no data rows"):
+        load_csv(path, skip_header=skip_header)
+
+
+# Files numpy's reader refuses or reads differently from ``float`` and csv:
+# underscores, quotes, non-ASCII whitespace and digits, the ASCII
+# separators \x1c-\x1f (numpy strips them, ``float`` refuses them), a header
+# whose quote spans lines, and a field over csv's size limit.
+@pytest.mark.parametrize(
+    "text, skip_header",
+    [
+        ("1_0,2\n3,4\n", False),
+        ('"3",2\n3,4\n', False),
+        ("\xa01,2\n3,4\n", False),
+        ("\u0661,2\n3,4\n", False),
+        ("1,2\n\x1c3,4\n", False),
+        ("1,2\n3\x1f,4\n", False),
+        ('"h\n1,2\n3,4\n', True),
+        ('"x","y"\n1,2\n3,4\n', True),
+        ("1,2\n" + "0" * (csv.field_size_limit() + 1) + ",4\n", False),
+    ],
+    ids=[
+        "underscore", "quoted", "nbsp", "arabic-indic", "fs", "us",
+        "open-quote-header", "quoted-header", "long-field",
+    ],
+)
+@pytest.mark.parametrize("weight_column", [None, 1])
+def test_load_csv_matches_the_reference_where_numpy_and_float_differ(
+    tmp_path, text, skip_header, weight_column
+):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    kwargs = {"skip_header": skip_header, "weight_column": weight_column}
+    try:
+        expected = _outcome(reference_load_csv, path, **kwargs)
+    except csv.Error as error:
+        with pytest.raises(csv.Error, match=re.escape(str(error))):
+            load_csv(path, **kwargs)
+        return
+    assert _outcome(load_csv, path, **kwargs) == expected
 
 
 def test_load_csv_weight_column_bounds(tmp_path):

@@ -1,6 +1,7 @@
 """Divergence closed forms, domains, and the generating-function identity."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import ALL_KINDS, random_spd, spec_for
+from conftest import ALL_KINDS, random_spd, reference_mahalanobis_phi, spec_for
 from lokmeans import Dataset, DivergenceSpec, EngineConfig, run
 from lokmeans.data_io import load_mahalanobis_csv, synth_uniform_grid
 from lokmeans.divergence import (
@@ -20,6 +21,7 @@ from lokmeans.divergence import (
     domain_contains,
     evaluate,
     pairwise,
+    phi,
     point_terms,
     rowwise,
 )
@@ -110,6 +112,47 @@ def test_mahalanobis_identity_matrix_matches_squared_euclidean():
         x = rng.normal(size=4)
         y = rng.normal(size=4)
         assert evaluate(mah, x, y) == pytest.approx(evaluate(sqe, x, y), rel=1e-12)
+
+
+# The leading shapes of the callers: one vector (``delta_move``), points
+# against their centers (``clustering_loss``) and a batch of labelings
+# (``brute_force_best``).
+@pytest.mark.parametrize("lead", [(), (7,), (3, 5)], ids=["vector", "rows", "batch"])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
+def test_mahalanobis_phi_and_rowwise_match_the_three_operand_form(lead, scale):
+    rng = np.random.default_rng(len(lead) * 10 + round(math.log10(scale)) + 3)
+    for d in range(1, 21):
+        spec = DivergenceSpec.squared_mahalanobis(random_spd(rng, d))
+        x = scale * rng.normal(size=lead + (d,))
+        y = scale * rng.normal(size=lead + (d,))
+        for got, want in (
+            (phi(spec, x), reference_mahalanobis_phi(spec.matrix, x)),
+            (rowwise(spec, x, y), reference_mahalanobis_phi(spec.matrix, x - y)),
+        ):
+            assert np.shape(got) == lead
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_mahalanobis_phi_is_exact_on_small_integers():
+    # Every product and partial sum is an integer below 2**53, so both
+    # forms must equal the rational value exactly.
+    rng = np.random.default_rng(12)
+    for d in range(1, 9):
+        basis = rng.integers(-3, 4, size=(d, d))
+        matrix = basis @ basis.T + d * np.eye(d, dtype=np.int64)
+        spec = DivergenceSpec.squared_mahalanobis(matrix.astype(np.float64))
+        x = rng.integers(-20, 21, size=(6, d)).astype(np.float64)
+        y = rng.integers(-20, 21, size=(6, d)).astype(np.float64)
+
+        def exact(v):
+            return sum(
+                Fraction(int(v[i])) * int(matrix[i, j]) * Fraction(int(v[j]))
+                for i in range(d)
+                for j in range(d)
+            )
+
+        assert phi(spec, x).tolist() == [float(exact(row)) for row in x]
+        assert rowwise(spec, x, y).tolist() == [float(exact(row)) for row in x - y]
 
 
 @PROPERTY

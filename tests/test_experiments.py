@@ -4,6 +4,7 @@ import contextlib
 import importlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,35 @@ def test_run_bench_single_replicate_summaries():
     assert none["variant"] == "none"
     assert np.isnan(none["loss_variance"])
     assert [none[metric] for metric in experiments.IMPROVEMENT_METRICS] == [0.0] * 4
+
+
+def test_certify_labels_finds_an_empty_cluster_without_memory_per_label():
+    # k is the largest label plus one, as `lokmeans verify` takes it: the
+    # empty cluster must be found before any (k, d) statistics are built.
+    dataset, _ = counterexample_instance()
+    labels = np.array([0, 0, 0, 1, 2_000_000])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cluster 2 is empty"):
+            experiments.certify_labels(dataset, labels, 2_000_001, SQE, 1e-9, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize(
+    "labels, k, message",
+    [
+        ([1, 1, 2, 2, 3], 4, "cluster 0 is empty"),
+        ([0, 0, 1, 1, 1], 3, "cluster 2 is empty"),
+        ([0, 0, 1, 1, 4], 4, r"labels must lie in \[0, 4\)"),
+    ],
+)
+def test_certify_labels_names_the_first_empty_cluster(labels, k, message):
+    dataset, _ = counterexample_instance()
+    with pytest.raises(ValueError, match=message):
+        experiments.certify_labels(dataset, np.array(labels), k, SQE, 1e-9, 10**6)
 
 
 def test_run_counterexample_applies_the_given_limits():
