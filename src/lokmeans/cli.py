@@ -26,7 +26,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import engine, experiments
-from .data_io import dedup_merge, filter_domain, load_csv, load_mahalanobis_csv, synth_uniform_grid
+from .data_io import dedup_merge, filter_domain, load_csv, synth_uniform_grid
 from .divergence import ITAKURA_SAITO, KL, SQUARED_EUCLIDEAN, SQUARED_MAHALANOBIS, DivergenceSpec
 from .engine import INITS, VARIANTS, EngineConfig
 from .experiments import IMPROVEMENT_METRICS
@@ -68,7 +68,7 @@ def _divergence_from_args(args) -> DivergenceSpec:
     if kind == SQUARED_MAHALANOBIS:
         if not path:
             raise ValueError("--divergence mahalanobis requires --mahalanobis-matrix")
-        return DivergenceSpec(kind, load_mahalanobis_csv(path))
+        return DivergenceSpec(kind, load_csv(path).rows)
     if path is not None:
         raise ValueError(f"--mahalanobis-matrix does not apply to --divergence {args.divergence}")
     return DivergenceSpec(kind)
@@ -167,20 +167,6 @@ def cmd_run(args) -> int:
     return _emit(args, payload, lines)
 
 
-BENCH_COLUMNS = [
-    "variant",
-    "init",
-    "k",
-    "replicates",
-    "loss_mean",
-    "loss_variance",
-    "loss_min",
-    "time_mean_seconds",
-    "iterations_mean",
-    *IMPROVEMENT_METRICS,
-]
-
-
 def _format_cell(value) -> str:
     if isinstance(value, float):
         return "" if math.isnan(value) else f"{value:.6g}"
@@ -194,9 +180,7 @@ def cmd_bench(args) -> int:
     records, summaries = experiments.run_bench(
         dataset, _config_from_args(args, spec), variants, args.replicates
     )
-    lines = [",".join(BENCH_COLUMNS)]
-    for summary in summaries:
-        lines.append(",".join(_format_cell(summary[name]) for name in BENCH_COLUMNS))
+    lines = [",".join(summaries[0])] + [",".join(map(_format_cell, s.values())) for s in summaries]
     return _emit(args, {"records": [asdict(r) for r in records], "summaries": summaries}, lines)
 
 

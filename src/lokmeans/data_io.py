@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -15,8 +16,8 @@ from .divergence import DivergenceSpec, domain_contains
 from .model import Dataset, row_keys
 
 
-class CsvFormatError(ValueError):
-    pass
+class CsvFormatError(ValueError, csv.Error):
+    """A file ``load_csv`` refuses, located; csv's own refusals become one."""
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def _read_with_numpy(path: str, skip_header: bool, weight_column: int | None) ->
                 ndmin=2,
                 dtype=np.float64,
             )
-    except ValueError:
+    except (ValueError, csv.Error):
         return None
     if table.shape[0] == 0 or not np.isfinite(table).all():
         return None
@@ -104,7 +105,7 @@ def _read_rows(path: str, skip_header: bool, weight_column: int | None) -> np.nd
     records: list[list[float]] = []
     file_rows: list[int] = []
     with open(path, newline="", encoding="utf-8") as handle:
-        for row_index, row in enumerate(csv.reader(handle), start=1):
+        for row, row_index in _records(path, handle):
             if not row or (skip_header and row_index == 1):
                 continue
             # One conversion and one finiteness test per row; only a row
@@ -139,10 +140,14 @@ def _read_rows(path: str, skip_header: bool, weight_column: int | None) -> np.nd
     return table
 
 
-def load_mahalanobis_csv(path: str) -> np.ndarray:
-    """Read a d x d matrix from a comma-separated file, in ``load_csv``'s
-    dialect and with its errors; ``DivergenceSpec`` checks the matrix."""
-    return load_csv(path).rows
+def _records(path: str, handle) -> Iterator[tuple[list[str], int]]:
+    """csv records with their numbers from 1; one csv refuses raises CsvFormatError."""
+    numbers = itertools.count(1)
+    try:
+        yield from zip(csv.reader(handle), numbers)
+    except csv.Error as exc:
+        # zip reads a record before drawing its number: the refused one's is next.
+        raise CsvFormatError(f"{path}: row {next(numbers)}: {exc}") from None
 
 
 def _raise_bad_cell(path: str, row_index: int, row: list[str]) -> NoReturn:

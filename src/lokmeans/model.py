@@ -259,7 +259,8 @@ def incremental_center_update(
     """Move one point between clusters, updating stats and centers in O(d).
 
     Both centers take a ``rank_one_shift`` (``-w`` from ``src``, ``+w`` into
-    ``dst``), which reproduces the recomputed weighted means exactly. When
+    ``dst``). They agree with the weighted means recomputed from ``stats``
+    up to rounding (a few ulps), which the rounding floor absorbs. When
     the point is the sole member of ``src`` the cluster becomes empty and
     its center is flagged undefined (NaN) rather than divided by zero.
     """

@@ -13,6 +13,7 @@ from lokmeans.divergence import (
     KL,
     SQUARED_EUCLIDEAN,
     SQUARED_MAHALANOBIS,
+    rowwise,
 )
 from lokmeans.data_io import CsvFormatError, RawTable, counterexample_instance
 from lokmeans.localopt import MoveDelta
@@ -45,6 +46,17 @@ def random_instance(rng, n_range=(4, 12), k_range=(2, 4), d_range=(1, 3)):
             break
     weights = rng.uniform(0.5, 3.0, size=n)
     return Dataset(points, weights), k
+
+
+def reference_loss_at_optimal_centers(dataset, labels, k, spec):
+    """``loss_at_optimal_centers`` of one labeling, as it was computed
+    before it scored batches: the batched form must match it bit for bit."""
+    stats = cluster_stats(dataset, labels, k)
+    occupied = stats.member_count > 0
+    centers = np.zeros_like(stats.coord_sum)
+    centers[occupied] = stats.coord_sum[occupied] / stats.weight_sum[occupied, None]
+    per_point = rowwise(spec, dataset.points, centers[labels])
+    return float(per_point @ dataset.weights)
 
 
 def exact_sqe_loss(dataset, labels):

@@ -14,8 +14,26 @@ import pytest
 
 import lokmeans
 from lokmeans import engine
-from lokmeans.cli import BENCH_COLUMNS, _jsonable, build_parser, main
+from lokmeans.cli import _jsonable, build_parser, main
 from lokmeans.experiments import IMPROVEMENT_METRICS
+
+
+# The bench CSV header: the keys of ``experiments.run_bench``'s summaries.
+BENCH_COLUMNS = [
+    "variant",
+    "init",
+    "k",
+    "replicates",
+    "loss_mean",
+    "loss_variance",
+    "loss_min",
+    "time_mean_seconds",
+    "iterations_mean",
+    "improvement_proportion",
+    "improvement_ratio_mean",
+    "iteration_increase_ratio_mean",
+    "new_step_invocations_mean",
+]
 
 
 def _json_output(capsys):
@@ -137,6 +155,23 @@ def test_run_rejects_data_and_synth_together(tmp_path, capsys):
     code = main(["run", "--data", path, "--synth", "n=5,d=1", "--k", "2"])
     assert code == 2
     assert "not both" in capsys.readouterr().err
+
+
+def test_run_reports_a_field_over_the_csv_limit_by_row(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text("1,2\n3," + "1" * 140_001 + "\n")
+    assert main(["run", "--data", str(path), "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: row 2: field larger than field limit" in err
+
+
+def test_run_reports_a_skipped_header_over_the_csv_limit_by_row(tmp_path, capsys):
+    # The quoted header spans 141 lines, none of them longer than the limit.
+    path = tmp_path / "header.csv"
+    path.write_text('"' + "\n".join(["h" * 1000] * 141) + '"\n1,2\n3,4\n')
+    assert main(["run", "--data", str(path), "--k", "1", "--skip-header"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: row 1: field larger than field limit" in err
 
 
 def test_kl_domain_filter_drops_dimension(tmp_path, capsys):
@@ -288,7 +323,7 @@ def test_bench_writes_summary_csv(tmp_path):
     assert code == 0
     with open(out, newline="") as handle:
         rows = list(csv.DictReader(handle))
-    assert [set(row) == set(BENCH_COLUMNS) for row in rows]
+    assert all(list(row) == BENCH_COLUMNS for row in rows)
     assert {row["variant"] for row in rows} == {"none", "d-lo"}
     for row in rows:
         assert float(row["loss_min"]) <= float(row["loss_mean"]) + 1e-12

@@ -17,7 +17,6 @@ from lokmeans.data_io import (
     dedup_merge,
     filter_domain,
     load_csv,
-    load_mahalanobis_csv,
     synth_uniform_grid,
 )
 
@@ -217,7 +216,7 @@ def test_load_mahalanobis_csv_reads_full_precision_bit_for_bit(tmp_path):
     matrix = basis @ basis.T + 16 * np.eye(16)
     path = str(tmp_path / "matrix.csv")
     np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
-    loaded = load_mahalanobis_csv(path)
+    loaded = load_csv(path).rows
     assert loaded.dtype == np.float64
     assert loaded.tobytes() == matrix.tobytes()
 
@@ -225,10 +224,10 @@ def test_load_mahalanobis_csv_reads_full_precision_bit_for_bit(tmp_path):
 def test_load_mahalanobis_csv_errors_name_the_file_row_and_column(tmp_path):
     path = _write(tmp_path, "1,0\n\n0,oops\n", name="matrix.csv")
     with pytest.raises(CsvFormatError, match=r"row 3, column 2: not a number: 'oops'"):
-        load_mahalanobis_csv(path)
+        load_csv(path).rows
     path = _write(tmp_path, "1,0\n0\n", name="matrix.csv")
     with pytest.raises(CsvFormatError, match=r"row 2: expected 2 columns, got 1"):
-        load_mahalanobis_csv(path)
+        load_csv(path).rows
 
 
 def test_dedup_merge_sums_weights_in_first_seen_order():

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import ALL_KINDS, random_spd, reference_mahalanobis_phi, spec_for
 from lokmeans import Dataset, DivergenceSpec, EngineConfig, run
-from lokmeans.data_io import load_mahalanobis_csv, synth_uniform_grid
+from lokmeans.data_io import load_csv, synth_uniform_grid
 from lokmeans.divergence import (
     ITAKURA_SAITO,
     KL,
@@ -389,7 +389,7 @@ def test_load_mahalanobis_csv(tmp_path):
     path = tmp_path / "matrix.csv"
     matrix = random_spd(np.random.default_rng(9), 3)
     np.savetxt(path, matrix, delimiter=",")
-    loaded = load_mahalanobis_csv(path)
+    loaded = load_csv(path).rows
     spec = DivergenceSpec.squared_mahalanobis(loaded)
     assert spec.kind == SQUARED_MAHALANOBIS
     np.testing.assert_allclose(spec.matrix, matrix, rtol=1e-12, atol=1e-15)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lokmeans import Dataset, DivergenceSpec, EngineConfig, cli, experiments
+from lokmeans import Dataset, DivergenceSpec, EngineConfig, cli, experiments, verify
 from lokmeans.data_io import counterexample_instance, synth_uniform_grid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -84,6 +84,17 @@ def test_certify_labels_names_the_first_empty_cluster(labels, k, message):
     dataset, _ = counterexample_instance()
     with pytest.raises(ValueError, match=message):
         experiments.certify_labels(dataset, np.array(labels), k, SQE, 1e-9, 10**6)
+
+
+def test_certify_labels_gives_the_brute_force_optimum_a_gap_of_zero():
+    # The escape-sqe brute-force shape; on this seed the optimum once scored
+    # 8.9e-16 below the loss of its own labels.
+    rng = np.random.default_rng(6)
+    dataset = Dataset(rng.standard_normal((8, 2)), rng.integers(1, 4, size=8).astype(np.float64))
+    labels, best = verify.brute_force_best(dataset, 3, SQE)
+    payload = experiments.certify_labels(dataset, labels, 3, SQE, 1e-9, 10**6)
+    assert payload["global_loss"] == best == payload["loss"]
+    assert payload["gap_to_global"] == 0.0
 
 
 def test_run_counterexample_applies_the_given_limits():

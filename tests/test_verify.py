@@ -11,6 +11,7 @@ from conftest import (
     exact_sqe_loss,
     exhaustive_d_local,
     random_instance,
+    reference_loss_at_optimal_centers,
     spec_for,
 )
 from lokmeans import (
@@ -27,7 +28,12 @@ from lokmeans.divergence import ITAKURA_SAITO, KL, SQUARED_MAHALANOBIS, pairwise
 from lokmeans.engine import init_centers
 from lokmeans.localopt import move_cost_matrix
 from lokmeans.model import EmptyClusterError, cluster_stats, origin_loss, rounding_floor
-from lokmeans.verify import _adjacent_deltas, adjacent_delta_bound, loss_at_optimal_centers
+from lokmeans.verify import (
+    _adjacent_deltas,
+    _losses_at_optimal_centers,
+    adjacent_delta_bound,
+    loss_at_optimal_centers,
+)
 
 SQE = DivergenceSpec.squared_euclidean()
 KMEANS_LABELS = np.array([0, 0, 0, 1, 1])
@@ -41,6 +47,33 @@ def test_loss_at_optimal_centers_tolerates_empty_clusters(counterexample):
     collapsed = loss_at_optimal_centers(dataset, np.zeros(5, dtype=np.int64), 2, SQE)
     spread = dataset.points[:, 0] - dataset.points[:, 0].mean()
     assert collapsed == pytest.approx(float(spread @ spread), abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 10_000),
+    kind=st.sampled_from(ALL_KINDS),
+    offset=st.sampled_from((0.0, 1e5)),
+    n=st.integers(1, 30),
+    d=st.integers(1, 24),
+    k=st.integers(1, 8),
+    b=st.integers(1, 40),
+)
+def test_batched_losses_score_every_row_as_one_labeling_alone(seed, kind, offset, n, d, k, b):
+    # Every row of a batch, and the one-row call, must round exactly as
+    # the per-labeling formula does. Every other row leaves cluster k - 1
+    # empty, and short rows of many clusters leave others empty too.
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.5, 5.0, size=(n, d)) + offset
+    dataset = Dataset(points, rng.uniform(0.5, 3.0, size=n))
+    spec = spec_for(kind, rng, d)
+    labelings = rng.integers(0, k, size=(b, n))
+    labelings[::2] %= max(1, k - 1)
+    expected = [reference_loss_at_optimal_centers(dataset, row, k, spec) for row in labelings]
+    batched = _losses_at_optimal_centers(dataset, labelings, k, spec)
+    assert batched.tobytes() == np.array(expected).tobytes()
+    single = [loss_at_optimal_centers(dataset, row, k, spec) for row in labelings]
+    assert np.array(single).tobytes() == np.array(expected).tobytes()
 
 
 def test_certify_d_local_flags_the_frozen_witness(counterexample):
@@ -300,6 +333,17 @@ def test_brute_force_single_cluster():
     labels, loss = brute_force_best(dataset, 1, SQE)
     np.testing.assert_array_equal(labels, [0, 0, 0])
     assert loss == pytest.approx(loss_at_optimal_centers(dataset, labels, 1, SQE))
+
+
+def test_brute_force_loss_is_the_exact_loss_of_its_labels():
+    rng = np.random.default_rng(47)
+    for trial in range(24):
+        dataset, k = random_instance(rng, n_range=(4, 8), k_range=(2, 3))
+        if trial % 3 == 0:
+            dataset = Dataset(dataset.points + 1e5, dataset.weights)
+        spec = spec_for(ALL_KINDS[trial % 4], rng, dataset.dim)
+        labels, loss = brute_force_best(dataset, k, spec)
+        assert loss == loss_at_optimal_centers(dataset, labels, k, spec)
 
 
 def test_brute_force_respects_enumeration_limit():
