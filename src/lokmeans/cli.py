@@ -81,6 +81,8 @@ def _dataset_from_args(args, spec: DivergenceSpec) -> Dataset:
         raw = load_csv(args.data, skip_header=args.skip_header, weight_column=args.weights_col)
         dataset = dedup_merge(raw)
     elif args.synth:
+        if args.weights_col is not None or args.skip_header:
+            raise ValueError("--weights-col and --skip-header apply only to --data")
         n, d = _parse_synth(args.synth)
         dataset = synth_uniform_grid(n, d, _derived_seed(args.seed, 0xDA7A))
     else:

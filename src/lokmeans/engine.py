@@ -10,9 +10,11 @@ invoke an escape step at the fixed point:
 * pnx       d-lo without sweeps: after the first assignment, single-point
             moves only (Hartigan's method)
 
-The steps in ``localopt`` only choose a move; ``run`` applies it, with
-``incremental_center_update`` and the label write, in one place. Every run
-is a deterministic function of (dataset, config).
+The steps in ``localopt`` only choose a move; ``run`` makes it in one
+place, with ``ClusterStats.move`` and the label write. Every center ``run``
+holds is ``ClusterStats.centers()`` of its current stats (or the initial
+centers), so a step always gets the divergences of the centers it is
+given. Every run is a deterministic function of (dataset, config).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .model import (
     check_tolerance,
     cluster_stats,
     clustering_loss,
-    incremental_center_update,
     origin_loss,
     weighted_points,
     within_tie_band,
@@ -173,9 +174,6 @@ def _assign_with_divergences(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-center labels (smallest index within the tie band) and the divergences."""
     divs = pairwise(spec, dataset.points, centers, terms=terms)
-    undefined = ~np.isfinite(centers).all(axis=1)
-    if undefined.any():
-        divs[:, undefined] = np.inf
     labels = np.argmax(within_tie_band(divs, tie_tolerance), axis=1).astype(np.int64)
     return labels, divs
 
@@ -218,14 +216,16 @@ def repair_empty_clusters(
 def run(dataset: Dataset, config: EngineConfig) -> RunReport:
     """Cluster ``dataset`` per ``config`` and report the full run.
 
-    Outer loop per iteration: assignment sweep, empty-cluster repair,
-    weighted-mean center update. When the assignment stops changing the
-    variant's escape step chooses a move, which is applied here; the loop
-    ends when it finds none (or immediately for variant "none"). "pnx"
-    sweeps in the first iteration only and then just recomputes the centers
-    before each step. The loss trajectory records one value per iteration
-    and is strictly decreasing: an iteration that changes nothing ends the
-    run instead.
+    Outer loop per iteration: assignment sweep and, when it changes the
+    labels, fresh cluster statistics, empty-cluster repair and their
+    weighted means as centers. When the assignment stops changing, the
+    variant's escape step chooses a move, which is made here: the stats
+    shift the point and the centers are recomputed from them. The loop ends
+    when the step finds none (or at once for variant "none"). "pnx" sweeps
+    in the first iteration only. A move that empties a cluster raises
+    EmptyClusterError; ``d-lo``, ``min-d-lo`` and ``pnx`` never choose one.
+    The loss trajectory records one value per iteration and is strictly
+    decreasing: an iteration that changes nothing ends the run instead.
 
     The point side of ``pairwise`` and the weighted points of
     ``cluster_stats`` depend on the dataset alone: each is computed once per
@@ -267,30 +267,25 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
             fresh, divs = _assign_with_divergences(
                 dataset, centers, spec, config.tie_tolerance, terms=terms
             )
-            stats = cluster_stats(dataset, fresh, config.k, weighted=weighted)
-            repaired = repair_empty_clusters(dataset, fresh, stats, centers)
-            repairs += repaired
-            fixed = labels is not None and repaired == 0 and np.array_equal(fresh, labels)
+            # Unchanged labels leave no cluster empty: stats and centers stand.
+            fixed = labels is not None and np.array_equal(fresh, labels)
+            if not fixed:
+                stats = cluster_stats(dataset, fresh, config.k, weighted=weighted)
+                repairs += repair_empty_clusters(dataset, fresh, stats, centers)
+                centers = stats.centers()
             labels = fresh
-            centers = stats.centers()
         else:
-            # No sweep: refresh centers and divergences from the moved stats.
             fixed = True
-            centers = stats.centers()
             divs = pairwise(spec, dataset.points, centers, terms=terms)
         if fixed:
             move = None if step is None else step(dataset, labels, stats, centers, spec, divs=divs)
             if move is None:
                 termination = TERMINATION_CONVERGED
                 break
-            # The only place a move is made. At the next fixed point of the
-            # sweep the step gets ``divs`` as computed at the centers updated
-            # here, while ``centers`` are the means recomputed from ``stats``.
-            # The two differ by the rounding of the rank-one update (a few
-            # ulps), which the steps' rounding floor absorbs.
             point, dst = move
-            incremental_center_update(stats, centers, point, int(labels[point]), dst, dataset)
+            stats.move(dataset, point, int(labels[point]), dst)
             labels[point] = dst
+            centers = stats.centers()
             invocations += 1
         trajectory.append(clustering_loss(dataset, labels, centers, spec, check_points=False))
 

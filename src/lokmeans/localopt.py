@@ -29,10 +29,13 @@ rank-one form; ``delta_move``, the scalar reference, evaluates it for one.
 The escape steps ``c_lo_step``, ``d_lo_step`` and ``min_d_lo_step`` only
 choose a move: each leaves its arguments untouched and returns the move as
 a ``(point, destination)`` pair, or None when it finds none. ``engine.run``
-applies the move. ``d_lo_step`` and ``min_d_lo_step`` never empty a
-cluster: a singleton's point sits on its optimal center, so moving it out
-cannot lower the loss. Variant "pnx" is ``d_lo_step`` run by ``engine.run``
-without sweeps.
+makes the move with ``ClusterStats.move`` and takes the new centers from
+the stats, so each step gets ``divs`` computed at exactly the ``centers``
+it is given. ``d_lo_step`` and ``min_d_lo_step`` never empty a cluster: a
+singleton's point sits on its optimal center, so moving it out cannot
+lower the loss. A ``c_lo_step`` move that would empty one makes
+``engine.run`` raise EmptyClusterError. Variant "pnx" is ``d_lo_step`` run
+by ``engine.run`` without sweeps.
 """
 
 from __future__ import annotations

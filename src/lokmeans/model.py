@@ -6,9 +6,10 @@ The clustering objective is
 
 over hard assignments P and centers C. For every divergence supported
 here the optimal center of a cluster is its weighted mean, so center
-updates never depend on the divergence choice. The escape core shares
-three definitions from here: ``rank_one_shift`` (the rank-one mean update),
-``within_tie_band`` (the tie band) and ``rounding_floor``.
+updates never depend on the divergence choice: every center is
+``ClusterStats.centers()`` of its cluster's sums. The escape core shares
+three definitions from here: ``rank_one_shift`` (the post-move mean in a
+move cost), ``within_tie_band`` (the tie band) and ``rounding_floor``.
 """
 
 from __future__ import annotations
@@ -118,6 +119,10 @@ class ClusterStats:
 
     def move(self, dataset: Dataset, point: int, src: int, dst: int) -> None:
         """Shift one point's weight and coordinate mass between clusters."""
+        if src == dst:
+            raise ValueError("source and destination clusters must differ")
+        if self.member_count[src] < 1:
+            raise ValueError(f"cluster {src} has no members to move")
         w = dataset.weights[point]
         wx = w * dataset.points[point]
         self.weight_sum[src] -= w
@@ -247,32 +252,3 @@ def within_tie_band(divs: np.ndarray, tie_tolerance: float) -> np.ndarray:
     dmin = divs.min(axis=1)
     return divs <= (dmin + tie_tolerance * (1.0 + np.abs(dmin)))[:, None]
 
-
-def incremental_center_update(
-    stats: ClusterStats,
-    centers: np.ndarray,
-    point: int,
-    src: int,
-    dst: int,
-    dataset: Dataset,
-) -> None:
-    """Move one point between clusters, updating stats and centers in O(d).
-
-    Both centers take a ``rank_one_shift`` (``-w`` from ``src``, ``+w`` into
-    ``dst``). They agree with the weighted means recomputed from ``stats``
-    up to rounding (a few ulps), which the rounding floor absorbs. When
-    the point is the sole member of ``src`` the cluster becomes empty and
-    its center is flagged undefined (NaN) rather than divided by zero.
-    """
-    if src == dst:
-        raise ValueError("source and destination clusters must differ")
-    if stats.member_count[src] < 1:
-        raise ValueError(f"cluster {src} has no members to move")
-    x = dataset.points[point]
-    w = dataset.weights[point]
-    if stats.member_count[src] == 1:
-        centers[src] = np.nan
-    else:
-        centers[src] = rank_one_shift(centers[src], x, stats.weight_sum[src], -w)
-    centers[dst] = rank_one_shift(centers[dst], x, stats.weight_sum[dst], w)
-    stats.move(dataset, point, src, dst)

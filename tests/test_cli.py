@@ -157,6 +157,17 @@ def test_run_rejects_data_and_synth_together(tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--weights-col", "5"], ["--skip-header"]])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_csv_flags_without_data_exit_2(command, flag, tmp_path, capsys):
+    # With --synth there is no CSV for the flag to read, so it is an error.
+    argv = [command, "--synth", "n=20,d=2", "--k", "2", *flag]
+    if command == "verify":
+        argv += ["--labels", _write_labels(tmp_path, [0, 1] * 10)]
+    assert main(argv) == 2
+    assert "error: --weights-col and --skip-header apply only to --data" in capsys.readouterr().err
+
+
 def test_run_reports_a_field_over_the_csv_limit_by_row(tmp_path, capsys):
     path = tmp_path / "long.csv"
     path.write_text("1,2\n3," + "1" * 140_001 + "\n")

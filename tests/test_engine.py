@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import ALL_KINDS, random_instance, spec_for
-from lokmeans import Dataset, DivergenceSpec, EngineConfig, engine, run
-from lokmeans.divergence import DomainError
+from lokmeans import Dataset, DivergenceSpec, EngineConfig, engine, localopt, run
+from lokmeans.data_io import synth_uniform_grid
+from lokmeans.divergence import DomainError, pairwise
 from lokmeans.engine import init_centers, repair_empty_clusters
-from lokmeans.model import cluster_stats
+from lokmeans.model import EmptyClusterError, cluster_stats, clustering_loss
 
 SQE = DivergenceSpec.squared_euclidean()
 
@@ -24,13 +25,6 @@ def test_assign_tie_prefers_smallest_index(counterexample):
     labels = engine._assign_with_divergences(dataset, centers, SQE, 1e-9)[0]
     # The point at 0 is exactly 4 from both centers; index 0 wins.
     np.testing.assert_array_equal(labels, [0, 0, 0, 1, 1])
-
-
-def test_assign_ignores_non_finite_centers(counterexample):
-    dataset, _ = counterexample
-    centers = np.array([[np.nan], [2.0]])
-    labels = engine._assign_with_divergences(dataset, centers, SQE, 1e-9)[0]
-    np.testing.assert_array_equal(labels, np.ones(5))
 
 
 def test_uniform_init_draws_distinct_data_points():
@@ -333,6 +327,77 @@ def test_run_reaches_pairwise_and_cluster_stats_through_engine(variant, monkeypa
     dataset = Dataset(rng.normal(size=(40, 2)), np.ones(40))
     report = run(dataset, EngineConfig(k=4, divergence=SQE, variant=variant, seed=1))
     assert len(seen["pairwise"]) == report.iterations
-    assert len(seen["cluster_stats"]) == (1 if variant == "pnx" else report.iterations)
+    # A sweep that changes no label (one per escape move, plus the last of
+    # a converged run) keeps its stats; pnx sweeps once.
+    converged = report.termination == "converged"
+    fixed_sweeps = report.new_step_invocations + converged
+    expected = 1 if variant == "pnx" else report.iterations - fixed_sweeps
+    assert len(seen["cluster_stats"]) == expected
     for args in seen["pairwise"]:
         assert args[1] is dataset.points and args[2].shape == (4, 2)
+
+
+def _escape_instances(count):
+    """``count`` random instances per kind, large enough for escape moves."""
+    rng = np.random.default_rng(31)
+    for kind in ALL_KINDS:
+        for seed in range(count):
+            dataset, k = random_instance(rng, n_range=(40, 60), k_range=(4, 6), d_range=(2, 3))
+            yield dataset, k, spec_for(kind, rng, dataset.dim), seed
+
+
+@pytest.mark.parametrize("variant", engine.VARIANTS)
+def test_final_loss_is_the_loss_of_the_final_centers(variant):
+    # Every center is the mean of its current stats, so the reported loss
+    # is the loss of the reported labels and centers, to the bit.
+    for dataset, k, spec, seed in _escape_instances(8):
+        report = run(dataset, EngineConfig(k=k, divergence=spec, variant=variant, seed=seed))
+        loss = clustering_loss(dataset, report.final_labels, report.final_centers, spec)
+        assert report.final_loss == loss
+
+
+def test_every_step_gets_the_divergences_of_its_centers(monkeypatch):
+    calls = []
+
+    def checked(original):
+        def wrapper(dataset, labels, stats, centers, spec, **kwargs):
+            calls.append(np.array_equal(kwargs["divs"], pairwise(spec, dataset.points, centers)))
+            return original(dataset, labels, stats, centers, spec, **kwargs)
+
+        return wrapper
+
+    for name in ("c_lo_step", "d_lo_step", "min_d_lo_step"):
+        monkeypatch.setattr(localopt, name, checked(getattr(localopt, name)))
+    for dataset, k, spec, seed in _escape_instances(4):
+        for variant in engine.VARIANTS[1:]:
+            run(dataset, EngineConfig(k=k, divergence=spec, variant=variant, seed=seed))
+    assert len(calls) > 100 and all(calls)
+
+
+def test_a_move_that_empties_a_cluster_raises(monkeypatch):
+    # Three points, three singletons: a step that moves one out empties it.
+    dataset = Dataset(np.array([[0.0], [1.0], [10.0]]), np.ones(3))
+    monkeypatch.setattr(localopt, "d_lo_step", lambda *args, **kwargs: (1, 2))
+    config = EngineConfig(k=3, divergence=SQE, variant="d-lo", initial_centers=dataset.points)
+    with pytest.raises(EmptyClusterError, match="cluster 1 is empty"):
+        run(dataset, config)
+
+
+def test_itakura_saito_far_from_the_origin_converges_without_a_tie_band():
+    # The default band ties every center when divergences are ~1e-9 and the
+    # sweeps cycle to the iteration cap; a zero band converges.
+    grid = synth_uniform_grid(20, 1, 0)
+    dataset = Dataset(grid.points + 1e5, grid.weights)
+    for variant in engine.VARIANTS:
+        config = EngineConfig(
+            k=2,
+            divergence=DivergenceSpec.itakura_saito(),
+            variant=variant,
+            max_iterations=2000,
+            tie_tolerance=0.0,
+        )
+        report = run(dataset, config)
+        assert report.termination == "converged"
+        assert report.iterations <= 5
+        assert np.all(np.diff(report.loss_trajectory) < 0)
+        assert report.final_loss == pytest.approx(2.0426e-9, rel=1e-4)

@@ -30,7 +30,6 @@ from lokmeans.model import (
     TIE_TOLERANCE,
     cluster_stats,
     clustering_loss,
-    incremental_center_update,
     origin_loss,
     rounding_floor,
 )
@@ -60,11 +59,12 @@ def _choose(step, dataset, labels, stats, centers, spec, divs=None):
     return step(dataset, labels, stats, centers, spec, divs=divs, origin=origin_loss(dataset, spec))
 
 
-def _apply(dataset, labels, stats, centers, move):
-    """Make ``move`` the way ``engine.run`` does."""
+def _apply(dataset, labels, stats, move):
+    """Make ``move`` the way ``engine.run`` does; return the new centers."""
     point, dst = move
-    incremental_center_update(stats, centers, point, int(labels[point]), dst, dataset)
+    stats.move(dataset, point, int(labels[point]), dst)
     labels[point] = dst
+    return stats.centers()
 
 
 def test_delta_frozen_improving_move(counterexample):
@@ -209,7 +209,7 @@ def test_c_lo_step_breaks_the_frozen_tie(counterexample):
     stats, centers = _state(dataset, labels, 2)
     move = _choose(c_lo_step, dataset, labels, stats, centers, SQE)
     assert move == (2, 1)
-    _apply(dataset, labels, stats, centers, move)
+    centers = _apply(dataset, labels, stats, move)
     np.testing.assert_array_equal(labels, ESCAPED_LABELS)
     np.testing.assert_allclose(centers, [[-3.0], [4.0 / 3.0]], atol=1e-12)
     np.testing.assert_array_equal(stats.member_count, [2, 3])
@@ -237,7 +237,7 @@ def test_c_lo_step_moves_to_largest_tied_index():
     np.testing.assert_allclose(centers, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     move = _choose(c_lo_step, dataset, labels, stats, centers, SQE)
     assert move == (0, 2)
-    _apply(dataset, labels, stats, centers, move)
+    centers = _apply(dataset, labels, stats, move)
     np.testing.assert_array_equal(labels, [2, 0, 1, 2])
     np.testing.assert_allclose(centers[0], [2.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(centers[2], [0.0, 0.5], atol=1e-12)
@@ -252,7 +252,7 @@ def test_d_lo_step_applies_first_improving_move():
     # Point 0 -> cluster 1 (delta -26) precedes the larger improvement at
     # point 1 in the point-major, destination-minor scan.
     assert move == (0, 1)
-    _apply(dataset, labels, stats, centers, move)
+    _apply(dataset, labels, stats, move)
     np.testing.assert_array_equal(labels, [1, 1, 0, 1])
     after = clustering_loss(dataset, labels, cluster_stats(dataset, labels, 2).centers(), SQE)
     assert after - before == pytest.approx(-26.0, abs=1e-9)
@@ -267,7 +267,7 @@ def test_min_d_lo_step_applies_best_move():
     # Point 1 -> cluster 0 and point 2 -> cluster 1 tie at -118/3; the
     # smaller point index wins.
     assert move == (1, 0)
-    _apply(dataset, labels, stats, centers, move)
+    _apply(dataset, labels, stats, move)
     np.testing.assert_array_equal(labels, [0, 0, 0, 1])
     after = clustering_loss(dataset, labels, cluster_stats(dataset, labels, 2).centers(), SQE)
     assert after - before == pytest.approx(-118.0 / 3.0, abs=1e-9)
@@ -281,7 +281,7 @@ def test_min_d_lo_tie_breaks_toward_smallest_point():
     stats, centers = _state(dataset, labels, 2)
     move = _choose(min_d_lo_step, dataset, labels, stats, centers, SQE)
     assert move == (0, 0)
-    _apply(dataset, labels, stats, centers, move)
+    _apply(dataset, labels, stats, move)
     np.testing.assert_array_equal(labels, [0, 0, 0, 1])
 
 
@@ -349,7 +349,7 @@ def test_true_steps_strictly_decrease_loss():
         step = (d_lo_step, min_d_lo_step)[trial % 2]
         move = _choose(step, dataset, labels, stats, centers, spec)
         if move is not None:
-            _apply(dataset, labels, stats, centers, move)
+            _apply(dataset, labels, stats, move)
             kept = np.flatnonzero(stats.member_count > 0)
             remap = {int(c): i for i, c in enumerate(kept)}
             squeezed = np.array([remap[int(c)] for c in labels])

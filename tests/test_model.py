@@ -14,7 +14,6 @@ from lokmeans.model import (
     check_labels,
     cluster_stats,
     clustering_loss,
-    incremental_center_update,
     weighted_points,
 )
 
@@ -116,8 +115,8 @@ def test_incremental_update_frozen_values(counterexample):
     # center -2 -> -3 and the destination center 2 -> 4/3.
     dataset, _ = counterexample
     stats = cluster_stats(dataset, KMEANS_LABELS, 2)
+    stats.move(dataset, 2, 0, 1)
     centers = stats.centers()
-    incremental_center_update(stats, centers, 2, 0, 1, dataset)
     assert centers[0, 0] == pytest.approx(-3.0, abs=1e-12)
     assert centers[1, 0] == pytest.approx(4.0 / 3.0, abs=1e-12)
     np.testing.assert_array_equal(stats.member_count, [2, 3])
@@ -133,34 +132,36 @@ def test_incremental_update_matches_recompute_randomized():
         )
         rng.shuffle(labels)
         stats = cluster_stats(dataset, labels, k)
-        centers = stats.centers()
         point = int(rng.integers(dataset.n))
         src = int(labels[point])
         dst = int((src + 1 + rng.integers(k - 1)) % k)
         was_singleton = stats.member_count[src] == 1
-        incremental_center_update(stats, centers, point, src, dst, dataset)
+        stats.move(dataset, point, src, dst)
         labels[point] = dst
         fresh = cluster_stats(dataset, labels, k)
         if was_singleton:
             singleton_hits += 1
-            assert np.isnan(centers[src]).all()
             assert stats.member_count[src] == 0
+            with pytest.raises(EmptyClusterError, match=f"cluster {src} is empty"):
+                stats.centers()
         for c in range(k):
             if c == src and was_singleton:
                 continue
+            moved = stats.coord_sum[c] / stats.weight_sum[c]
             expected = fresh.coord_sum[c] / fresh.weight_sum[c]
-            assert np.abs(centers[c] - expected).max() <= 1e-10
+            assert np.abs(moved - expected).max() <= 1e-10
     assert singleton_hits > 0
 
 
 def test_incremental_update_rejects_empty_source(counterexample):
     dataset, _ = counterexample
     stats = cluster_stats(dataset, KMEANS_LABELS, 2)
-    centers = stats.centers()
-    incremental_center_update(stats, centers, 3, 1, 0, dataset)
-    incremental_center_update(stats, centers, 4, 1, 0, dataset)
+    stats.move(dataset, 3, 1, 0)
+    stats.move(dataset, 4, 1, 0)
     with pytest.raises(ValueError, match="no members"):
-        incremental_center_update(stats, centers, 4, 1, 0, dataset)
+        stats.move(dataset, 4, 1, 0)
+    with pytest.raises(ValueError, match="must differ"):
+        stats.move(dataset, 4, 0, 0)
 
 
 def test_optimal_centers_minimize_loss():
