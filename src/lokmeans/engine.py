@@ -33,7 +33,6 @@ from .divergence import (
     check_domain,
     pairwise,
     point_terms,
-    rowwise,
 )
 from .model import (
     TIE_TOLERANCE,
@@ -128,31 +127,42 @@ def init_centers(
     init: str,
     spec: DivergenceSpec,
     rng: np.random.Generator,
+    *,
+    terms: PointTerms | None = None,
 ) -> np.ndarray:
     """Sample k distinct data points as starting centers.
 
     "uniform" ignores weights. "kmeans++" draws the first center with
     probability proportional to weight, then each next one proportional to
-    weight times divergence to the nearest chosen center. Divergences come
-    from the exact closed form (``rowwise``), under which a chosen point has
-    exactly zero divergence to itself, so the draw is without replacement
-    automatically. Raises ValueError when every remaining point's
-    divergence to the chosen centers is zero.
+    weight times divergence to the nearest chosen center. Each chosen
+    point's column of divergences is one ``pairwise`` call on ``terms``
+    (``point_terms(spec, dataset.points)``, built here when not given),
+    and its own mass is set to zero, so the draw is without replacement
+    whatever the kernel rounds a self-divergence to. Raises DomainError
+    when the points leave the interior of the divergence's domain, and
+    ValueError when every remaining point's divergence to the chosen
+    centers is zero.
     """
     if k > dataset.n:
         raise ValueError(f"cannot choose {k} distinct centers from {dataset.n} points")
+    check_domain(spec, dataset.points, "dataset", require_interior=True)
     if init == "uniform":
         chosen = rng.choice(dataset.n, size=k, replace=False)
         return dataset.points[chosen].copy()
     if init != "kmeans++":
         raise ValueError(f"unknown init {init!r}")
-    weights = dataset.weights
+    points, weights = dataset.points, dataset.weights
+    if terms is None:
+        terms = point_terms(spec, points)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.choice(dataset.n, p=weights / weights.sum())
-    nearest = rowwise(spec, dataset.points, dataset.points[chosen[0]])
+    nearest = np.full(dataset.n, np.inf)
     for j in range(1, k):
-        # Clamped as pairwise clamps: rowwise can round a zero divergence below 0.
-        mass = weights * np.maximum(nearest, 0.0)
+        last = chosen[j - 1]
+        column = pairwise(spec, points, points[last : last + 1], terms=terms)[:, 0]
+        np.minimum(nearest, column, out=nearest)
+        nearest[last] = 0.0  # the kernel may round its self-divergence above 0
+        mass = weights * nearest
         total = mass.sum()
         if total <= 0.0:
             raise ValueError(
@@ -160,8 +170,7 @@ def init_centers(
                 "a positive divergence to the chosen centers"
             )
         chosen[j] = rng.choice(dataset.n, p=mass / total)
-        nearest = np.minimum(nearest, rowwise(spec, dataset.points, dataset.points[chosen[j]]))
-    return dataset.points[chosen].copy()
+    return points[chosen].copy()
 
 
 def _assign_with_divergences(
@@ -240,7 +249,7 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
     if config.initial_centers is not None:
         centers = np.array(config.initial_centers, dtype=np.float64)
     else:
-        centers = init_centers(dataset, config.k, config.init, config.divergence, rng)
+        centers = init_centers(dataset, config.k, config.init, spec, rng, terms=terms)
 
     # Built per run from localopt's attributes, so that a wrapper set there
     # (the traced benchmark sets one) sees every step. The move steps'

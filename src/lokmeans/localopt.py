@@ -1,22 +1,21 @@
 """Move costs and the new-step procedures that escape non-local fixed points.
 
-The cost of moving a fraction ``alpha`` of point ``g`` from cluster ``a``
-to cluster ``b`` (with optimal centers before and after) has the closed
-form
+The cost of moving point ``g`` from cluster ``a`` to cluster ``b`` (with
+optimal centers before and after) has the closed form
 
-    delta = alpha w_g (D(x_g, c_b) - D(x_g, c_a))
-            - (s_a - alpha w_g) D(c_a', c_a)
-            - (s_b + alpha w_g) D(c_b', c_b)
+    delta = w_g (D(x_g, c_b) - D(x_g, c_a))
+            - (s_a - w_g) D(c_a', c_a)
+            - (s_b + w_g) D(c_b', c_b)
 
-where c_a', c_b' are the post-move weighted means, obtained in O(d) by
-``model.rank_one_shift``. Each center term is ``shift_cost``, the one
-definition of (W + s) D(c', c) for a cluster of weight W that gains signed
-weight s. The source term is zero when the move empties cluster ``a``.
+where c_a', c_b' are the post-move weighted means, obtained in O(d) by a
+rank-one shift. Each center term is ``shift_cost``, the one definition of
+(W + s) D(c', c) for a cluster of weight W that gains signed weight s. The
+source term is zero when the move empties cluster ``a``.
 Evaluating this instead of recomputing the full loss is what makes the
 local-optimality steps cheap.
 
 For quadratic phi (squared Euclidean and Mahalanobis) both center shifts
-are multiples of D(x_g, c), and the hard move (alpha = 1) reduces to
+are multiples of D(x_g, c), and the move cost reduces to
 Hartigan's form (Telgarsky & Vattani, *Hartigan's Method*, AISTATS 2010)
 
     delta = w W_b / (W_b + w) D(x_g, c_b) - w W_a / (W_a - w) D(x_g, c_a)
@@ -24,7 +23,7 @@ Hartigan's form (Telgarsky & Vattani, *Hartigan's Method*, AISTATS 2010)
 with W the cluster weights; a singleton source contributes -w D(x_g, c_a).
 ``move_cost_matrix`` reads it off the cached (N, K) divergence matrix, so
 these kinds need no (N, K, d) scratch. KL and Itakura-Saito keep the
-rank-one form; ``delta_move``, the scalar reference, evaluates it for one.
+rank-one form.
 
 The escape steps ``c_lo_step``, ``d_lo_step`` and ``min_d_lo_step`` only
 choose a move: each leaves its arguments untouched and returns the move as
@@ -40,76 +39,33 @@ by ``engine.run`` without sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .divergence import DivergenceSpec, rowwise
 from .model import (
+    CHUNK_ELEMENTS,
     ClusterStats,
     Dataset,
     check_tolerance,
-    rank_one_shift,
     rounding_floor,
     within_tie_band,
 )
 
-# Row-chunk bound on the (rows, K, d) scratch tensor of move_cost_matrix's
-# rank-one path (KL and Itakura-Saito).
-_CHUNK_ELEMENTS = 4_000_000
-
-
-@dataclass(frozen=True)
-class MoveDelta:
-    """Outcome of evaluating one candidate move."""
-
-    point: int
-    from_cluster: int
-    to_cluster: int
-    delta: float
-    source_empties: bool
-
 
 def shift_cost(spec: DivergenceSpec, center, x, weight_sum, s):
-    """``(W + s) D(c', c)`` with ``c' = rank_one_shift(c, x, W, s)``: how much
-    the loss of a cluster that signed weight ``s`` at ``x`` joined falls when
-    its center moves from ``c`` to its new mean ``c'``."""
-    return (weight_sum + s) * rowwise(spec, rank_one_shift(center, x, weight_sum, s), center)
-
-
-def delta_move(
-    dataset: Dataset,
-    labels: np.ndarray,
-    stats: ClusterStats,
-    centers: np.ndarray,
-    spec: DivergenceSpec,
-    point: int,
-    src: int,
-    dst: int,
-    alpha: float = 1.0,
-) -> MoveDelta:
-    """Closed-form loss change for moving weight ``alpha * w`` of one point.
-
-    ``centers`` must be optimal for the current assignment. ``alpha`` in
-    (0, 1] covers the continuous relaxation; alpha = 1 is the hard move.
-    """
-    if src == dst:
-        raise ValueError("source and destination clusters must differ")
-    if labels[point] != src:
-        raise ValueError(f"point {point} is assigned to cluster {labels[point]}, not {src}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    x = dataset.points[point]
-    w = dataset.weights[point]
-    moved = alpha * w
-    delta = moved * (rowwise(spec, x, centers[dst]) - rowwise(spec, x, centers[src]))
-
-    source_empties = bool(alpha == 1.0 and stats.member_count[src] == 1)
-    if not source_empties and moved > 0.0:
-        delta -= shift_cost(spec, centers[src], x, stats.weight_sum[src], -moved)
-    if moved > 0.0:
-        delta -= shift_cost(spec, centers[dst], x, stats.weight_sum[dst], moved)
-    return MoveDelta(int(point), int(src), int(dst), float(delta), source_empties)
+    """``(W + s) D(c', c)``: how much the loss of a cluster of weight ``W``
+    and mean ``c`` falls when signed weight ``s`` at ``x`` joins it (``s =
+    -w`` moves a point out) and its center moves to the new mean ``c' = c +
+    s (x - c) / (W + s)``. ``W`` and ``s`` broadcast against
+    ``center.shape[:-1]``; a cluster left with no positive weight raises
+    ArithmeticError."""
+    grown = np.asarray(weight_sum + s)[..., None]
+    if (grown <= 0.0).any():
+        raise ArithmeticError("cluster weights inconsistent with member weights")
+    shifted = center + np.asarray(s)[..., None] * (x - center) / grown
+    return grown[..., 0] * rowwise(spec, shifted, center)
 
 
 def move_cost_matrix(
@@ -163,7 +119,7 @@ def move_cost_matrix(
             )
         delta -= src_term[:, None]
         # Destination term: (K, rows, d) scratch, chunked over rows to bound memory.
-        step = max(1, _CHUNK_ELEMENTS // max(1, k * points.shape[1]))
+        step = max(1, CHUNK_ELEMENTS // max(1, k * points.shape[1]))
         for start in range(0, n, step):
             stop = min(n, start + step)
             delta[start:stop] -= shift_cost(

@@ -7,9 +7,10 @@ The clustering objective is
 over hard assignments P and centers C. For every divergence supported
 here the optimal center of a cluster is its weighted mean, so center
 updates never depend on the divergence choice: every center is
-``ClusterStats.centers()`` of its cluster's sums. The escape core shares
-three definitions from here: ``rank_one_shift`` (the post-move mean in a
-move cost), ``within_tie_band`` (the tie band) and ``rounding_floor``.
+``ClusterStats.centers()`` of its cluster's sums. The escape core and the
+certificates share three definitions from here: ``within_tie_band`` (the
+tie band), ``rounding_floor`` and ``CHUNK_ELEMENTS`` (the bound on their
+(rows, K, d) scratch).
 """
 
 from __future__ import annotations
@@ -232,19 +233,12 @@ def origin_loss(dataset: Dataset, spec: DivergenceSpec) -> float:
     return float(dataset.weights @ rowwise(spec, dataset.points, np.zeros(dataset.dim)))
 
 
-def rank_one_shift(center, x, weight_sum, s):
-    """``c + s (x - c) / (W + s)``: the mean of a cluster of weight ``W`` and
-    mean ``c`` once signed weight ``s`` at ``x`` joins it (``s = -w`` moves a
-    point out). ``W`` and ``s`` broadcast against ``center.shape[:-1]``; a
-    cluster left with no positive weight raises ArithmeticError."""
-    grown = np.asarray(weight_sum + s)[..., None]
-    if (grown <= 0.0).any():
-        raise ArithmeticError("cluster weights inconsistent with member weights")
-    return center + np.asarray(s)[..., None] * (x - center) / grown
-
-
 # Default relative width of the tie band, for every caller that takes one.
 TIE_TOLERANCE = 1e-9
+
+# Elements of (rows, K, d) scratch that a move-cost or certificate pass
+# over all N x K moves allocates at once: it is chunked over rows to fit.
+CHUNK_ELEMENTS = 4_000_000
 
 
 def within_tie_band(divs: np.ndarray, tie_tolerance: float) -> np.ndarray:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import DivergenceSpec, check_domain, pairwise, phi, phi_magnitude, rowwise
-from .localopt import _CHUNK_ELEMENTS, MoveDelta
 from .model import (
+    CHUNK_ELEMENTS,
     TIE_TOLERANCE,
     ClusterStats,
     Dataset,
@@ -45,6 +45,17 @@ BRUTE_FORCE_LIMIT = 10**7
 _DUPLICATE_CENTER_TOLERANCE = 1e-12
 # Relative drift from the optimal centers above which certify_c_local rejects them.
 _CENTER_TOLERANCE = 1e-9
+
+
+@dataclass(frozen=True)
+class MoveDelta:
+    """One single-point move and the loss change it causes: a certificate's witness."""
+
+    point: int
+    from_cluster: int
+    to_cluster: int
+    delta: float
+    source_empties: bool
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,7 @@ def _adjacent_deltas(
     source[multi] -= left * phi(spec, moved_out)
 
     delta = np.empty((n, k))
-    step = max(1, _CHUNK_ELEMENTS // max(1, k * dataset.dim))
+    step = max(1, CHUNK_ELEMENTS // max(1, k * dataset.dim))
     for start in range(0, n, step):
         rows = slice(start, min(n, start + step))
         grown = totals + w[rows, None]

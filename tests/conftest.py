@@ -16,7 +16,7 @@ from lokmeans.divergence import (
     rowwise,
 )
 from lokmeans.data_io import CsvFormatError, RawTable, counterexample_instance
-from lokmeans.localopt import MoveDelta
+from lokmeans.localopt import shift_cost
 from lokmeans.model import (
     EmptyClusterError,
     cluster_stats,
@@ -24,7 +24,7 @@ from lokmeans.model import (
     rounding_floor,
     row_keys,
 )
-from lokmeans.verify import D_LOCAL, NOT_LOCAL, Certificate, loss_at_optimal_centers
+from lokmeans.verify import D_LOCAL, NOT_LOCAL, Certificate, MoveDelta, loss_at_optimal_centers
 
 DATA_DIR = Path(__file__).parent / "data"
 IRIS_PATH = DATA_DIR / "iris.csv"
@@ -57,6 +57,51 @@ def reference_loss_at_optimal_centers(dataset, labels, k, spec):
     centers[occupied] = stats.coord_sum[occupied] / stats.weight_sum[occupied, None]
     per_point = rowwise(spec, dataset.points, centers[labels])
     return float(per_point @ dataset.weights)
+
+
+def delta_move(dataset, labels, stats, centers, spec, point, src, dst, alpha=1.0):
+    """Closed-form loss change for moving weight ``alpha * w`` of one point.
+
+    The scalar reference for ``move_cost_matrix``: the rank-one form of
+    ``localopt``, one move at a time. ``centers`` must be optimal for the
+    current assignment. ``alpha`` in (0, 1] covers the continuous
+    relaxation; alpha = 1 is the hard move.
+    """
+    if src == dst:
+        raise ValueError("source and destination clusters must differ")
+    if labels[point] != src:
+        raise ValueError(f"point {point} is assigned to cluster {labels[point]}, not {src}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    x = dataset.points[point]
+    w = dataset.weights[point]
+    moved = alpha * w
+    delta = moved * (rowwise(spec, x, centers[dst]) - rowwise(spec, x, centers[src]))
+
+    source_empties = bool(alpha == 1.0 and stats.member_count[src] == 1)
+    if not source_empties and moved > 0.0:
+        delta -= shift_cost(spec, centers[src], x, stats.weight_sum[src], -moved)
+    if moved > 0.0:
+        delta -= shift_cost(spec, centers[dst], x, stats.weight_sum[dst], moved)
+    return MoveDelta(int(point), int(src), int(dst), float(delta), source_empties)
+
+
+def reference_kmeanspp(dataset, k, spec, rng):
+    """kmeans++ with each chosen point's divergences from the closed form
+    ``rowwise``, as ``engine.init_centers`` drew it before it used the
+    ``pairwise`` kernel: the two must draw the same centers."""
+    weights = dataset.weights
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.choice(dataset.n, p=weights / weights.sum())
+    nearest = rowwise(spec, dataset.points, dataset.points[chosen[0]])
+    for j in range(1, k):
+        mass = weights * np.maximum(nearest, 0.0)
+        total = mass.sum()
+        if total <= 0.0:
+            raise ValueError(f"no positive mass for center {j + 1} of {k}")
+        chosen[j] = rng.choice(dataset.n, p=mass / total)
+        nearest = np.minimum(nearest, rowwise(spec, dataset.points, dataset.points[chosen[j]]))
+    return dataset.points[chosen].copy()
 
 
 def exact_sqe_loss(dataset, labels):

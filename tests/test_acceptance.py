@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from conftest import ALL_KINDS, random_instance, spec_for
+from conftest import ALL_KINDS, delta_move, random_instance, spec_for
 from lokmeans import DivergenceSpec, EngineConfig, brute_force_best, certify_d_local, run
 from lokmeans.data_io import dedup_merge, load_csv, synth_uniform_grid
 from lokmeans.engine import init_centers
 from lokmeans.experiments import run_bench, run_counterexample
-from lokmeans.localopt import delta_move
 from lokmeans.model import cluster_stats
 from lokmeans.verify import loss_at_optimal_centers
 

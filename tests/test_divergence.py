@@ -114,7 +114,7 @@ def test_mahalanobis_identity_matrix_matches_squared_euclidean():
         assert evaluate(mah, x, y) == pytest.approx(evaluate(sqe, x, y), rel=1e-12)
 
 
-# The leading shapes of the callers: one vector (``delta_move``), points
+# The leading shapes of the callers: one vector (``evaluate``), points
 # against their centers (``clustering_loss``) and a batch of labelings
 # (``brute_force_best``).
 @pytest.mark.parametrize("lead", [(), (7,), (3, 5)], ids=["vector", "rows", "batch"])

@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ALL_KINDS, random_instance, spec_for
+from conftest import ALL_KINDS, random_instance, reference_kmeanspp, spec_for
 from lokmeans import Dataset, DivergenceSpec, EngineConfig, engine, localopt, run
 from lokmeans.data_io import synth_uniform_grid
-from lokmeans.divergence import DomainError, pairwise
+from lokmeans.divergence import (
+    DomainError,
+    pairwise,
+    phi_magnitude,
+    point_terms,
+    rowwise,
+)
 from lokmeans.engine import init_centers, repair_empty_clusters
 from lokmeans.model import EmptyClusterError, cluster_stats, clustering_loss
 
@@ -116,12 +124,121 @@ def test_kmeanspp_survives_kl_divergences_rounded_below_zero(k):
 
 
 def test_kmeanspp_rejects_a_draw_with_no_positive_mass():
-    # Itakura-Saito gives every neighbour zero divergence to its partner, so
-    # after 50 draws no remaining point carries mass.
-    dataset = _nextafter_pairs()
-    config = EngineConfig(k=51, divergence=DivergenceSpec.itakura_saito(), init="kmeans++")
+    # The squared differences of these points underflow to zero, so after
+    # the first draw no remaining point carries mass.
+    dataset = Dataset(np.array([[0.0], [1e-170], [2e-170], [3e-170]]), np.ones(4))
+    config = EngineConfig(k=2, divergence=SQE, init="kmeans++")
     with pytest.raises(ValueError, match="no remaining point has a positive divergence"):
         run(dataset, config)
+
+
+def _near_duplicates_far_out(spec) -> Dataset:
+    # Points whose divergences to their neighbours are a few times what the
+    # kernel rounds a point's divergence to itself to: for KL a grid of step
+    # 0.01 at 1e5, for Mahalanobis two grids of step 3e-4 that lie 1e4 apart,
+    # so every point is far from the mean the kernel shifts by.
+    grid = synth_uniform_grid(30, 2, 0).points
+    if spec.kind == "kl":
+        return Dataset(grid * 0.01 + 1e5, np.ones(len(grid)))
+    return Dataset(np.vstack([grid * 3e-4, grid * 3e-4 + 1e4]) + 1e5, np.ones(2 * len(grid)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [DivergenceSpec.kl(), DivergenceSpec.squared_mahalanobis(np.array([[2.0, 0.5], [0.5, 1.0]]))],
+    ids=["kl", "mahalanobis"],
+)
+def test_kmeanspp_never_draws_a_point_twice_where_the_kernel_rounds_its_self_divergence_above_zero(spec):
+    dataset = _near_duplicates_far_out(spec)
+    terms = point_terms(spec, dataset.points)
+    own = [pairwise(spec, dataset.points, row[None], terms=terms)[i, 0] for i, row in enumerate(dataset.points)]
+    assert max(own) > 0.0
+    for seed in range(10):
+        centers = init_centers(dataset, dataset.n, "kmeans++", spec, np.random.default_rng(seed))
+        assert np.unique(centers, axis=0).shape[0] == dataset.n, seed
+
+
+@pytest.mark.parametrize("init", ["uniform", "kmeans++"])
+@pytest.mark.parametrize("kind", [DivergenceSpec.kl, DivergenceSpec.itakura_saito])
+def test_init_rejects_points_on_the_domain_boundary(kind, init):
+    spec = kind()
+    dataset = Dataset(np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 1.0]]), np.ones(3))
+    with pytest.raises(DomainError, match=f"dataset outside the interior domain of {spec.kind}"):
+        init_centers(dataset, 2, init, spec, np.random.default_rng(0))
+
+
+def _seeding_instance(kind, offset, grid, seed, n, d):
+    """N(0,1) points (exp-transformed for KL and Itakura-Saito) with weights
+    1-3, or a ``synth_uniform_grid``, shifted by ``offset``."""
+    rng = np.random.default_rng(seed)
+    spec = spec_for(kind, rng, d)
+    if grid:
+        data = synth_uniform_grid(n, d, seed)
+        points, weights = data.points, data.weights
+    else:
+        points = rng.standard_normal((n, d))
+        points = points if spec.quadratic else np.exp(points)
+        weights = rng.integers(1, 4, size=n).astype(np.float64)
+    return Dataset(points + offset, weights), spec
+
+
+def _or_none(draw):
+    """``draw()``, or None when the seeding runs out of mass."""
+    try:
+        return draw()
+    except ValueError:
+        return None
+
+
+def _first_parting_draw(dataset, k, spec, seed):
+    """The index of the first center on which ``init_centers`` and the
+    closed-form loop differ, or on which one of them runs out of mass;
+    None when they agree on all k. Both draw from the same stream, so a
+    seeding of m centers is the first m of a longer one."""
+
+    def agree(m):
+        got = _or_none(lambda: init_centers(dataset, m, "kmeans++", spec, np.random.default_rng(seed)))
+        want = _or_none(lambda: reference_kmeanspp(dataset, m, spec, np.random.default_rng(seed)))
+        return got is not None and want is not None and np.array_equal(got, want)
+
+    if agree(k):
+        return None
+    return next(m - 1 for m in range(1, k + 1) if not agree(m))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 200),
+    d=st.integers(1, 4),
+    k=st.integers(2, 32),
+    kind=st.sampled_from(ALL_KINDS),
+    offset=st.sampled_from((0.0, 1e4, 1e5)),
+    grid=st.booleans(),
+)
+def test_kmeanspp_draws_the_centers_of_the_closed_form_loop(seed, n, d, k, kind, offset, grid):
+    dataset, spec = _seeding_instance(kind, offset, grid, seed, n, d)
+    k = min(k, dataset.n)
+    terms = point_terms(spec, dataset.points)
+    got = _or_none(lambda: init_centers(dataset, k, "kmeans++", spec, np.random.default_rng(seed)))
+    again = _or_none(
+        lambda: init_centers(dataset, k, "kmeans++", spec, np.random.default_rng(seed), terms=terms)
+    )
+    assert (got is None) == (again is None)
+    assert got is None or got.tobytes() == again.tobytes()
+    parted = _first_parting_draw(dataset, k, spec, seed)
+    if parted is None:
+        return
+    # Far from the origin the KL and Itakura-Saito kernel keeps few digits
+    # of a divergence, so a draw may part there, but only where the two
+    # forms' divergences to the shared chosen centers differ by rounding:
+    # 8 d u times the size of the kernel's terms (measured worst 1.7).
+    assert not spec.quadratic and offset == 1e5, parted
+    chosen = init_centers(dataset, parted, "kmeans++", spec, np.random.default_rng(seed))
+    kernel = pairwise(spec, dataset.points, chosen).min(axis=1)
+    closed = np.maximum(rowwise(spec, dataset.points[:, None, :], chosen[None]), 0.0).min(axis=1)
+    bound = 8 * d * np.finfo(np.float64).eps * phi_magnitude(spec, dataset.points).max()
+    assert np.abs(kernel - closed).max() <= bound
 
 
 def test_init_rejects_k_above_n():

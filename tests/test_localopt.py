@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_KINDS, exact_sqe_loss, random_instance, random_spd, spec_for
+from conftest import (
+    ALL_KINDS,
+    delta_move,
+    exact_sqe_loss,
+    random_instance,
+    random_spd,
+    spec_for,
+)
 from lokmeans import (
     Dataset,
     DivergenceSpec,
@@ -21,7 +28,6 @@ from lokmeans.divergence import pairwise
 from lokmeans.localopt import (
     c_lo_step,
     d_lo_step,
-    delta_move,
     min_d_lo_step,
     move_cost_matrix,
     pnx_run,
