@@ -14,7 +14,7 @@ covered by tests. ``pairwise`` instead splits every divergence into a
 row term, a column term and one matrix product (Banerjee et al.,
 *Clustering with Bregman Divergences*, JMLR 2005), so an (N, K) matrix
 costs one GEMM and no (N, K, d) scratch; ``point_terms`` holds the part
-that depends on the points alone, for a caller that reuses it. ``phi``
+that depends on the points alone, in their ``mean_shift`` frame. ``phi``
 evaluates the generating function itself, for the d-local certificate's
 Bregman-information form. For Mahalanobis, ``phi`` (and so ``rowwise``)
 and ``point_terms`` both take x^T A x as one matrix product ``x @ A`` and
@@ -190,20 +190,31 @@ def evaluate(spec: DivergenceSpec, x: np.ndarray, y: np.ndarray) -> float:
     return float(rowwise(spec, x, y))
 
 
+def mean_shift(spec: DivergenceSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(points - origin, origin)``: the origin is the point mean for the
+    quadratic kinds, which are translation invariant, so that values in the
+    frame have the size of the data's spread, not its offset; else it is 0."""
+    x = np.asarray(points, dtype=np.float64)
+    if not spec.quadratic:
+        return x, np.zeros(x.shape[1])
+    origin = x.mean(axis=0)
+    return x - origin, origin
+
+
 @dataclass(frozen=True)
 class PointTerms:
     """The point side of ``pairwise`` for one point set: it depends on the
     points alone, so a run computes it once and passes it to every call.
 
-    ``mean`` is the shift of the quadratic kinds (None otherwise), ``operand``
-    the matrix the centers' side multiplies (the shifted points, times A for
-    Mahalanobis) and ``row`` the per-point term. ``spec`` and ``points`` are
-    the arguments it was computed from.
+    ``origin`` is the ``mean_shift`` origin, ``operand`` the matrix the
+    centers' side multiplies (the shifted points, times A for Mahalanobis)
+    and ``row`` the per-point term. ``spec`` and ``points`` are the
+    arguments it was computed from.
     """
 
     spec: DivergenceSpec
     points: np.ndarray
-    mean: np.ndarray | None
+    origin: np.ndarray
     operand: np.ndarray
     row: np.ndarray
 
@@ -211,16 +222,13 @@ class PointTerms:
 def point_terms(spec: DivergenceSpec, points: np.ndarray) -> PointTerms:
     """The point side of ``pairwise`` for ``points``: its mean shift, GEMM
     operand and row term."""
-    x = np.asarray(points, dtype=np.float64)
-    mean = None
+    x, origin = mean_shift(spec, points)
+    operand = x if spec.matrix is None else x @ spec.matrix
     if spec.quadratic:
-        mean = x.mean(axis=0)
-        shifted = x - mean
-        x = shifted if spec.matrix is None else shifted @ spec.matrix
-        row = np.einsum("ij,ij->i", x, shifted)
+        row = np.einsum("ij,ij->i", operand, x)
     else:
         row = phi(spec, x) - (x.sum(axis=1) if spec.kind == KL else x.shape[1])
-    return PointTerms(spec, points, mean, x, row)
+    return PointTerms(spec, points, origin, operand, row)
 
 
 def pairwise(
@@ -239,10 +247,9 @@ def pairwise(
     * KL                   sum(x log x - x) + sum(c) - x.log(c), 0 log 0 = 0
     * Itakura-Saito        x.(1/c) - sum(log x) + sum(log c) - d
 
-    For the quadratic kinds points and centers are first shifted by the
-    point mean. D is translation invariant, and without the shift the
-    expansion cancels terms of size offset^2 down to spread^2, which on
-    data far from the origin leaves rounding larger than real move gains.
+    Points and centers are first shifted to the ``mean_shift`` frame: for
+    the quadratic kinds the expansion would otherwise cancel terms of size
+    offset^2 down to spread^2, leaving rounding larger than real move gains.
     Assumes in-domain inputs, like ``rowwise``; a non-finite center yields
     a non-finite column.
 
@@ -257,9 +264,8 @@ def pairwise(
         terms = point_terms(spec, points)
     elif terms.spec is not spec or terms.points is not points:
         raise ValueError("point terms were computed for another divergence or point set")
-    c = np.asarray(centers, dtype=np.float64)
+    c = np.asarray(centers, dtype=np.float64) - terms.origin
     if spec.quadratic:
-        c = c - terms.mean
         ca = c if spec.matrix is None else c @ spec.matrix
         out = (-2.0 * c) @ terms.operand.T
         col = np.einsum("ij,ij->i", ca, c)

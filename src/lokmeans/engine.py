@@ -31,6 +31,7 @@ from .divergence import (
     DomainError,
     PointTerms,
     check_domain,
+    mean_shift,
     pairwise,
     point_terms,
 )
@@ -41,7 +42,6 @@ from .model import (
     check_tolerance,
     cluster_stats,
     clustering_loss,
-    origin_loss,
     weighted_points,
     within_tie_band,
 )
@@ -236,6 +236,10 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
     The loss trajectory records one value per iteration and is strictly
     decreasing: an iteration that changes nothing ends the run instead.
 
+    Every decision is made in the dataset's ``mean_shift`` frame: initial
+    centers enter it, reported centers and trajectory losses leave it, and
+    points that coincide in it raise ValueError.
+
     The point side of ``pairwise`` and the weighted points of
     ``cluster_stats`` depend on the dataset alone: each is computed once per
     run and passed to every call.
@@ -243,24 +247,30 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
     validate_run_inputs(dataset, config)
     start = time.perf_counter()
     spec = config.divergence
-    terms = point_terms(spec, dataset.points)
-    weighted = weighted_points(dataset.points, dataset.weights)
+    points, origin = mean_shift(spec, dataset.points)
+    frame = dataset
+    if points is not dataset.points:
+        try:
+            frame = Dataset(points, dataset.weights)
+        except ValueError as exc:  # the caller's shape and weights: rows are non-finite or repeat
+            what = "two points coincide" if np.isfinite(points).all() else str(exc)
+            raise ValueError(f"{what} once their mean is subtracted; {spec.kind} runs in that frame") from None
+    terms = point_terms(spec, frame.points)
+    weighted = weighted_points(frame.points, frame.weights)
     rng = np.random.default_rng(config.seed)
     if config.initial_centers is not None:
-        centers = np.array(config.initial_centers, dtype=np.float64)
+        centers = config.initial_centers - origin
     else:
-        centers = init_centers(dataset, config.k, config.init, spec, rng, terms=terms)
+        centers = init_centers(frame, config.k, config.init, spec, rng, terms=terms)
 
     # Built per run from localopt's attributes, so that a wrapper set there
-    # (the traced benchmark sets one) sees every step. The move steps'
-    # rounding floor needs the run-invariant origin loss: computed once.
-    origin = origin_loss(dataset, spec) if config.variant in ("d-lo", "min-d-lo", "pnx") else 0.0
+    # (the traced benchmark sets one) sees every step.
     step = {
         "none": None,
         "c-lo": partial(localopt.c_lo_step, tie_tolerance=config.tie_tolerance),
-        "d-lo": partial(localopt.d_lo_step, origin=origin),
-        "min-d-lo": partial(localopt.min_d_lo_step, origin=origin),
-        "pnx": partial(localopt.d_lo_step, origin=origin),
+        "d-lo": localopt.d_lo_step,
+        "min-d-lo": localopt.min_d_lo_step,
+        "pnx": localopt.d_lo_step,
     }[config.variant]
     sweeps = config.variant != "pnx"
     labels: np.ndarray | None = None
@@ -274,33 +284,35 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
         iterations += 1
         if labels is None or sweeps:
             fresh, divs = _assign_with_divergences(
-                dataset, centers, spec, config.tie_tolerance, terms=terms
+                frame, centers, spec, config.tie_tolerance, terms=terms
             )
             # Unchanged labels leave no cluster empty: stats and centers stand.
             fixed = labels is not None and np.array_equal(fresh, labels)
             if not fixed:
-                stats = cluster_stats(dataset, fresh, config.k, weighted=weighted)
-                repairs += repair_empty_clusters(dataset, fresh, stats, centers)
+                stats = cluster_stats(frame, fresh, config.k, weighted=weighted)
+                repairs += repair_empty_clusters(frame, fresh, stats, centers)
                 centers = stats.centers()
             labels = fresh
         else:
             fixed = True
-            divs = pairwise(spec, dataset.points, centers, terms=terms)
+            divs = pairwise(spec, frame.points, centers, terms=terms)
         if fixed:
-            move = None if step is None else step(dataset, labels, stats, centers, spec, divs=divs)
+            move = None if step is None else step(frame, labels, stats, centers, spec, divs=divs)
             if move is None:
                 termination = TERMINATION_CONVERGED
                 break
             point, dst = move
-            stats.move(dataset, point, int(labels[point]), dst)
+            stats.move(frame, point, int(labels[point]), dst)
             labels[point] = dst
             centers = stats.centers()
             invocations += 1
-        trajectory.append(clustering_loss(dataset, labels, centers, spec, check_points=False))
+        # Free the (N, K) divergences before the loss pass: the frame costs an (N, d) copy.
+        del divs
+        trajectory.append(clustering_loss(dataset, labels, centers + origin, spec, check_points=False))
 
     return RunReport(
         final_labels=labels,
-        final_centers=centers,
+        final_centers=centers + origin,
         final_loss=trajectory[-1],
         loss_trajectory=np.asarray(trajectory),
         iterations=iterations,

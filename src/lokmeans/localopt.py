@@ -141,20 +141,18 @@ def _move_costs_and_bar(
     centers: np.ndarray,
     spec: DivergenceSpec,
     divs: np.ndarray,
-    origin: float,
 ) -> tuple[np.ndarray, float]:
     """Move-cost matrix and the gain a move must beat to be chosen.
 
     The bar is the rounding floor of the current loss, read off the
-    divergence matrix the costs are built from; ``origin`` is the
-    dataset's ``origin_loss``. Rows of singleton clusters are +inf:
-    emptying a cluster never lowers the loss (its optimal center is the
-    point itself), so such a move could only be taken on rounding noise.
+    divergence matrix the costs are built from. Rows of singleton clusters
+    are +inf: emptying a cluster never lowers the loss (its optimal center
+    is the point itself), so such a move could only be rounding noise.
     """
     loss = float(dataset.weights @ divs[np.arange(dataset.n), labels])
     delta = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
     delta[stats.member_count[labels] == 1] = np.inf
-    return delta, rounding_floor(loss, origin)
+    return delta, rounding_floor(loss)
 
 
 def c_lo_step(
@@ -196,7 +194,6 @@ def d_lo_step(
     centers: np.ndarray,
     spec: DivergenceSpec,
     divs: np.ndarray,
-    origin: float,
 ) -> tuple[int, int] | None:
     """Choose the first single-point move that lowers the loss.
 
@@ -205,10 +202,10 @@ def d_lo_step(
     scanned point-major, destination-minor: the first point with an
     improving move takes its smallest improving destination, even when a
     later one gains more. Returns None when no move improves, i.e. the
-    assignment is locally optimal over single-point moves. ``origin`` is
-    the dataset's ``origin_loss``; ``engine.run`` passes it once per run.
+    assignment is locally optimal over single-point moves. The floor holds
+    far from the origin: ``engine.run`` passes the quadratic kinds in their mean frame.
     """
-    delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs, origin)
+    delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs)
     improving = delta < -bar
     gains = improving.any(axis=1)
     if not gains.any():
@@ -224,14 +221,13 @@ def min_d_lo_step(
     centers: np.ndarray,
     spec: DivergenceSpec,
     divs: np.ndarray,
-    origin: float,
 ) -> tuple[int, int] | None:
     """Choose the single best improving move (ties: smallest point, then cluster).
 
     The move is chosen only when its gain clears the rounding floor of the
     current loss, as in ``d_lo_step``.
     """
-    delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs, origin)
+    delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs)
     point = int(np.argmin(delta.min(axis=1)))
     dst = int(np.argmin(delta[point]))
     if not delta[point, dst] < -bar:

@@ -9,8 +9,8 @@ here the optimal center of a cluster is its weighted mean, so center
 updates never depend on the divergence choice: every center is
 ``ClusterStats.centers()`` of its cluster's sums. The escape core and the
 certificates share three definitions from here: ``within_tie_band`` (the
-tie band), ``rounding_floor`` and ``CHUNK_ELEMENTS`` (the bound on their
-(rows, K, d) scratch).
+tie band), ``rounding_floor`` (the one bar a gain must clear, at any
+offset) and ``CHUNK_ELEMENTS`` (the bound on their (rows, K, d) scratch).
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def clustering_loss(
     return float(per_point @ dataset.weights)
 
 
-def rounding_floor(loss: float, origin_loss: float = 0.0) -> float:
+def rounding_floor(loss: float) -> float:
     """Smallest loss change that counts as real at the given loss level.
 
     For a move whose gain is near zero, the terms of its closed-form cost,
@@ -211,26 +211,10 @@ def rounding_floor(loss: float, origin_loss: float = 0.0) -> float:
     A predicted gain within this floor of zero may be pure rounding: the
     escape steps never apply such a move, and the d-local certificate never
     reports one as a witness. Without the floor, tie-heavy data lets a step
-    undo its own zero-gain move forever.
-
-    Centers are stored in absolute coordinates, so on data far from the
-    origin each carries rounding of a few ulps of the coordinates, and a
-    move cost inherits about ``2 w |x - c|`` times that. ``origin_loss``
-    (see ``origin_loss``) bounds the coordinate scale: by Cauchy-Schwarz
-    ``sum w |x - c| |x| <= sqrt(loss * origin_loss)``.
+    undo its own zero-gain move forever. Far from the origin, ``engine.run``
+    keeps the offset out of its centers with ``divergence.mean_shift``.
     """
-    return 1e-12 * (1.0 + abs(loss) + math.sqrt(abs(loss) * origin_loss))
-
-
-def origin_loss(dataset: Dataset, spec: DivergenceSpec) -> float:
-    """Loss of all points against one center at the origin, for quadratic phi.
-
-    This is the coordinate scale term of ``rounding_floor``. KL and
-    Itakura-Saito are not translation invariant and have no such term: 0.
-    """
-    if not spec.quadratic:
-        return 0.0
-    return float(dataset.weights @ rowwise(spec, dataset.points, np.zeros(dataset.dim)))
+    return 1e-12 * (1.0 + abs(loss))
 
 
 # Default relative width of the tie band, for every caller that takes one.

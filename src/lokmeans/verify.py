@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DivergenceSpec, check_domain, pairwise, phi, phi_magnitude, rowwise
+from .divergence import DivergenceSpec, check_domain, mean_shift, pairwise, phi, phi_magnitude, rowwise
 from .model import (
     CHUNK_ELEMENTS,
     TIE_TOLERANCE,
@@ -29,7 +29,6 @@ from .model import (
     check_labels,
     check_tolerance,
     cluster_stats,
-    origin_loss,
     rounding_floor,
     weighted_sums,
     within_tie_band,
@@ -111,12 +110,10 @@ def _adjacent_deltas(
     Bregman information), so moving point g (weight w) from a to b changes
     F by ``W_a phi(c_a) + W_b phi(c_b) - (W_a - w) phi(c_a') - (W_b + w)
     phi(c_b')``, with c' the means after the move; the source term is 0
-    when the move empties a. The sums come fresh from the labels, of points
-    shifted by their mean for the quadratic kinds.
+    when the move empties a. The sums come fresh from the labels, of the
+    points in the ``mean_shift`` frame.
     """
-    x, w = dataset.points, dataset.weights
-    if spec.quadratic:
-        x = x - x.mean(axis=0)
+    x, w = mean_shift(spec, dataset.points)[0], dataset.weights
     n, k = dataset.n, stats.k
     totals = stats.weight_sum
     sums = weighted_sums(x, w, labels, k)
@@ -142,20 +139,17 @@ def _adjacent_deltas(
 def adjacent_delta_bound(dataset: Dataset, spec: DivergenceSpec, loss: float) -> float:
     """Bound on the gap between a fast and a recomputed adjacent delta.
 
-    ``beta = 8 (n + d + 4) u (Phi + F + sqrt(F O))`` with u = 2^-53, F the
-    loss and O the ``origin_loss``. Each fast delta adds four ``W phi(c)``
-    terms whose sums run over at most n points and d coordinates, so to
-    first order each is off by at most (n + d + 4) u times ``Phi = sum_g
-    w_g m(x_g)``, where m, ``divergence.phi_magnitude``, bounds |phi| and
-    its sensitivity to relative error (on mean-shifted points for quadratic
-    phi). A recomputed delta differs two losses, each off by about
-    (n + d) u (F + sqrt(F O)) (see ``rounding_floor``).
+    ``beta = 8 (n + d + 4) u (Phi + F)`` with u = 2^-53 and F the loss.
+    Each fast delta adds four ``W phi(c)`` terms whose sums run over at
+    most n points and d coordinates, so to first order each is off by at
+    most (n + d + 4) u times ``Phi = sum_g w_g m(x_g)``, where m,
+    ``divergence.phi_magnitude``, bounds |phi| and its sensitivity to
+    relative error (on the points in their ``mean_shift`` frame). A
+    recomputed delta differs two losses, each off by about (n + d) u F: a
+    center at a cluster mean moves the loss by its rounding to second order.
     """
-    x = dataset.points
-    if spec.quadratic:
-        x = x - x.mean(axis=0)
-    magnitude = phi_magnitude(spec, x)
-    total = float(dataset.weights @ magnitude) + loss + np.sqrt(loss * origin_loss(dataset, spec))
+    x, _ = mean_shift(spec, dataset.points)
+    total = float(dataset.weights @ phi_magnitude(spec, x)) + loss
     return 8.0 * (dataset.n + dataset.dim + 4) * (np.finfo(np.float64).eps / 2) * total
 
 
@@ -201,7 +195,7 @@ def certify_d_local(
         if delta < worst:
             worst = delta
             worst_move = (int(point), int(labels[point]), int(dst))
-    if worst >= -rounding_floor(base, origin_loss(dataset, spec)):
+    if worst >= -rounding_floor(base):
         return Certificate(D_LOCAL, None, float(worst), 0)
     point, src, dst = worst_move
     witness = MoveDelta(point, src, dst, float(worst), bool(stats.member_count[src] == 1))

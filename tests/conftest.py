@@ -20,7 +20,6 @@ from lokmeans.localopt import shift_cost
 from lokmeans.model import (
     EmptyClusterError,
     cluster_stats,
-    origin_loss,
     rounding_floor,
     row_keys,
 )
@@ -160,7 +159,7 @@ def exhaustive_d_local(dataset, labels, k, spec):
             if delta < worst:
                 worst = delta
                 worst_move = (point, src, dst)
-    if worst >= -rounding_floor(base, origin_loss(dataset, spec)):
+    if worst >= -rounding_floor(base):
         return Certificate(D_LOCAL, None, float(worst), 0)
     point, src, dst = worst_move
     witness = MoveDelta(point, src, dst, float(worst), bool(stats.member_count[src] == 1))

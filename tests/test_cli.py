@@ -134,6 +134,13 @@ def test_run_merges_rows_that_differ_only_in_a_signed_zero(tmp_path, capsys):
     assert payload["dataset"]["total_weight"] == pytest.approx(3.0)
 
 
+def test_run_rejects_rows_that_coincide_once_centered(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_text("1e-20,0\n2e-20,0\n-1e5,0\n-1e5,1\n")
+    assert main(["run", "--data", str(path), "--k", "2", "--variant", "d-lo"]) == 2
+    assert "two points coincide once their mean is subtracted" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("synth", ["n=5,n=60,d=2", "n=abc,d=2", "n=40,d=2,d=3", "n=40"])
 def test_run_rejects_a_malformed_synth_spec(synth, capsys):
     assert main(["run", "--synth", synth, "--k", "2"]) == 2

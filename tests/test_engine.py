@@ -423,6 +423,22 @@ def test_run_rejects_initial_centers_that_do_not_fit_the_dataset(counterexample)
     assert run(positive, config).termination == "converged"
 
 
+def test_run_rejects_points_that_coincide_once_centered():
+    # The quadratic kinds run in the frame of the point mean, where these
+    # two distinct rows round to one; the run refuses them by name.
+    points = np.array([[1e-20, 0.0], [2e-20, 0.0], [-1e5, 0.0], [-1e5, 1.0]])
+    centered = points - points.mean(axis=0)
+    assert (centered[0] == centered[1]).all()
+    dataset = Dataset(points, np.ones(4))
+    for spec in (SQE, DivergenceSpec.squared_mahalanobis(np.eye(2))):
+        with pytest.raises(ValueError, match="two points coincide once their mean is subtracted"):
+            run(dataset, EngineConfig(k=2, divergence=spec, variant="d-lo"))
+    # The frame's other failure: a mean that overflows leaves no finite row.
+    huge = Dataset(np.array([[1.5e308], [1.6e308]]), np.ones(2))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite values once"):
+        run(huge, EngineConfig(k=1, divergence=SQE))
+
+
 @pytest.mark.parametrize("variant", ["none", "d-lo", "pnx"])
 def test_run_reaches_pairwise_and_cluster_stats_through_engine(variant, monkeypatch):
     # The traced benchmark wraps both at engine's bindings and reads the
@@ -450,8 +466,11 @@ def test_run_reaches_pairwise_and_cluster_stats_through_engine(variant, monkeypa
     fixed_sweeps = report.new_step_invocations + converged
     expected = 1 if variant == "pnx" else report.iterations - fixed_sweeps
     assert len(seen["cluster_stats"]) == expected
+    # The point side is built once and reaches every call at position 1.
+    points = seen["pairwise"][0][1]
+    assert points.shape == (40, 2)
     for args in seen["pairwise"]:
-        assert args[1] is dataset.points and args[2].shape == (4, 2)
+        assert args[1] is points and args[2].shape == (4, 2)
 
 
 def _escape_instances(count):

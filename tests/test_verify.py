@@ -27,7 +27,7 @@ from lokmeans.data_io import synth_uniform_grid
 from lokmeans.divergence import ITAKURA_SAITO, KL, SQUARED_MAHALANOBIS, pairwise
 from lokmeans.engine import init_centers
 from lokmeans.localopt import move_cost_matrix
-from lokmeans.model import EmptyClusterError, cluster_stats, origin_loss, rounding_floor
+from lokmeans.model import EmptyClusterError, cluster_stats, rounding_floor
 from lokmeans.verify import (
     _adjacent_deltas,
     _losses_at_optimal_centers,
@@ -307,7 +307,7 @@ def test_certify_d_local_agrees_with_exhaustive_on_tie_heavy_grids(seed, n, d, k
             base = exact_sqe_loss(dataset, labels)
             gain = min(exact_sqe_loss(dataset, t) - base for t in adjacent_assignments(labels, k))
             loss = loss_at_optimal_centers(dataset, labels, k, spec)
-            floor = rounding_floor(loss, origin_loss(dataset, spec))
+            floor = rounding_floor(loss)
             assert fast.kind == ("not-local" if gain < -floor else "d-local")
             continue
         assert fast.worst_delta == slow.worst_delta
