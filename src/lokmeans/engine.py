@@ -42,7 +42,6 @@ from .model import (
     check_tolerance,
     cluster_stats,
     clustering_loss,
-    weighted_points,
     within_tie_band,
 )
 
@@ -240,9 +239,10 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
     centers enter it, reported centers and trajectory losses leave it, and
     points that coincide in it raise ValueError.
 
-    The point side of ``pairwise`` and the weighted points of
-    ``cluster_stats`` depend on the dataset alone: each is computed once per
-    run and passed to every call.
+    The point side of ``pairwise`` depends on the dataset alone: it is
+    computed once per run and passed to every call. ``cluster_stats`` forms
+    the weighted points on each call, so no (d, N) copy is held through the
+    escape steps.
     """
     validate_run_inputs(dataset, config)
     start = time.perf_counter()
@@ -256,7 +256,6 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
             what = "two points coincide" if np.isfinite(points).all() else str(exc)
             raise ValueError(f"{what} once their mean is subtracted; {spec.kind} runs in that frame") from None
     terms = point_terms(spec, frame.points)
-    weighted = weighted_points(frame.points, frame.weights)
     rng = np.random.default_rng(config.seed)
     if config.initial_centers is not None:
         centers = config.initial_centers - origin
@@ -289,7 +288,7 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
             # Unchanged labels leave no cluster empty: stats and centers stand.
             fixed = labels is not None and np.array_equal(fresh, labels)
             if not fixed:
-                stats = cluster_stats(frame, fresh, config.k, weighted=weighted)
+                stats = cluster_stats(frame, fresh, config.k)
                 repairs += repair_empty_clusters(frame, fresh, stats, centers)
                 centers = stats.centers()
             labels = fresh

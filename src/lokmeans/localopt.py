@@ -22,8 +22,9 @@ Hartigan's form (Telgarsky & Vattani, *Hartigan's Method*, AISTATS 2010)
 
 with W the cluster weights; a singleton source contributes -w D(x_g, c_a).
 ``move_cost_matrix`` reads it off the cached (N, K) divergence matrix, so
-these kinds need no (N, K, d) scratch. KL and Itakura-Saito keep the
-rank-one form.
+these kinds need no (N, K, d) scratch: besides its output they hold one
+(K, N) scratch for ``W + w``, bounded by ``CHUNK_ELEMENTS``. KL and
+Itakura-Saito keep the rank-one form.
 
 The escape steps ``c_lo_step``, ``d_lo_step`` and ``min_d_lo_step`` only
 choose a move: each leaves its arguments untouched and returns the move as
@@ -98,10 +99,22 @@ def move_cost_matrix(
         # the plain -w D(x, c_a) term, as in the rank-one path below.
         src_scale = np.ones(n, dtype=np.float64)
         src_scale[multi] = stats.weight_sum[labels][multi] / remaining[multi]
-        # Built (K, N) and viewed as (N, K), the layout pairwise returns.
-        delta = (stats.weight_sum[:, None] * weights[None, :]) / (
-            stats.weight_sum[:, None] + weights[None, :]
-        )
+        # W w / (W + w), built (K, N) and viewed as (N, K) like pairwise's
+        # output. W + w fills a scratch of whole (contiguous) center rows, at
+        # most CHUNK_ELEMENTS. einsum writes W w with no transient, after the
+        # first block, so the add's 64 KB iterator buffer never meets it.
+        weight_sum = stats.weight_sum
+        step = max(1, CHUNK_ELEMENTS // n)
+        grown = np.empty((min(k, step), n))
+        delta = None
+        for lo in range(0, k, step):
+            block = grown[: min(k - lo, step)]
+            block[...] = weight_sum[lo : lo + step, None]
+            block += weights
+            if delta is None:
+                delta = np.einsum("k,n->kn", weight_sum, weights)
+            delta[lo : lo + step] /= block
+        del grown, block  # freed before the subtraction below takes its buffer
         delta = delta.T
         delta *= divs
         delta -= (weights * src_scale * own)[:, None]
@@ -222,11 +235,11 @@ def min_d_lo_step(
     spec: DivergenceSpec,
     divs: np.ndarray,
 ) -> tuple[int, int] | None:
-    """Choose the single best improving move (ties: smallest point, then cluster).
-
-    The move is chosen only when its gain clears the rounding floor of the
-    current loss, as in ``d_lo_step``.
-    """
+    """Choose the single best improving move by its computed cost, equal
+    costs to the smallest point, then cluster. Moves whose exact gains tie
+    may compute some ulps apart, and then rounding decides. The move is
+    chosen only when its gain clears the rounding floor of the current
+    loss, as in ``d_lo_step``."""
     delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs)
     point = int(np.argmin(delta.min(axis=1)))
     dst = int(np.argmin(delta[point]))

@@ -10,7 +10,8 @@ updates never depend on the divergence choice: every center is
 ``ClusterStats.centers()`` of its cluster's sums. The escape core and the
 certificates share three definitions from here: ``within_tie_band`` (the
 tie band), ``rounding_floor`` (the one bar a gain must clear, at any
-offset) and ``CHUNK_ELEMENTS`` (the bound on their (rows, K, d) scratch).
+offset) and ``CHUNK_ELEMENTS`` (the bound on their (rows, K, d) scratch
+and on the (K, N) scratch of the quadratic move costs).
 """
 
 from __future__ import annotations
@@ -134,45 +135,28 @@ class ClusterStats:
         self.member_count[dst] += 1
 
 
-def weighted_points(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(d, N) products ``w x``, coordinate-major, so that each coordinate's
-    ``bincount`` in ``weighted_sums`` reads contiguous memory."""
-    n, d = points.shape
-    return np.multiply(points.T, weights, out=np.empty((d, n)))
-
-
 def weighted_sums(
-    points: np.ndarray,
-    weights: np.ndarray,
-    labels: np.ndarray,
-    k: int,
-    *,
-    weighted: np.ndarray | None = None,
+    points: np.ndarray, weights: np.ndarray, labels: np.ndarray, k: int
 ) -> np.ndarray:
     """(K, d) per-cluster sums of ``w x``, each accumulated in point order.
 
-    ``weighted`` may carry ``weighted_points(points, weights)``, computed
-    once by a caller that sums the same points under many labelings.
+    The products are formed coordinate-major, (d, N), so that each
+    coordinate's ``bincount`` reads contiguous memory.
     """
-    d = points.shape[1]
-    if weighted is None:
-        weighted = weighted_points(points, weights)
-    elif weighted.shape != points.shape[::-1]:
-        raise ValueError(f"weighted points shape {weighted.shape} does not match {points.shape}")
+    n, d = points.shape
+    weighted = np.multiply(points.T, weights, out=np.empty((d, n)))
     sums = np.empty((k, d), dtype=np.float64)
     for j in range(d):
         sums[:, j] = np.bincount(labels, weights=weighted[j], minlength=k)
     return sums
 
 
-def cluster_stats(
-    dataset: Dataset, labels: np.ndarray, k: int, *, weighted: np.ndarray | None = None
-) -> ClusterStats:
-    """Fresh statistics of ``labels``; ``weighted`` as in ``weighted_sums``."""
+def cluster_stats(dataset: Dataset, labels: np.ndarray, k: int) -> ClusterStats:
+    """Fresh statistics of ``labels``."""
     labels = check_labels(labels, dataset.n, k)
     weight_sum = np.bincount(labels, weights=dataset.weights, minlength=k)
     member_count = np.bincount(labels, minlength=k).astype(np.int64)
-    coord_sum = weighted_sums(dataset.points, dataset.weights, labels, k, weighted=weighted)
+    coord_sum = weighted_sums(dataset.points, dataset.weights, labels, k)
     return ClusterStats(weight_sum, coord_sum, member_count)
 
 
@@ -220,8 +204,9 @@ def rounding_floor(loss: float) -> float:
 # Default relative width of the tie band, for every caller that takes one.
 TIE_TOLERANCE = 1e-9
 
-# Elements of (rows, K, d) scratch that a move-cost or certificate pass
-# over all N x K moves allocates at once: it is chunked over rows to fit.
+# Elements of scratch that a move-cost or certificate pass over all N x K
+# moves allocates at once: its (rows, K, d) or quadratic (K, N) scratch is
+# chunked to fit.
 CHUNK_ELEMENTS = 4_000_000
 
 

@@ -85,6 +85,27 @@ def delta_move(dataset, labels, stats, centers, spec, point, src, dst, alpha=1.0
     return MoveDelta(int(point), int(src), int(dst), float(delta), source_empties)
 
 
+def reference_quadratic_move_costs(dataset, labels, stats, divs):
+    """``move_cost_matrix`` for squared Euclidean and Mahalanobis as a plain
+    broadcast of Hartigan's form, with three fresh (K, N) temporaries: the
+    bounded scratch of ``move_cost_matrix`` must give the same bits."""
+    weights = dataset.weights
+    rows = np.arange(dataset.n)
+    own = divs[rows, labels]
+    remaining = stats.weight_sum[labels] - weights
+    multi = stats.member_count[labels] > 1
+    src_scale = np.ones(dataset.n, dtype=np.float64)
+    src_scale[multi] = stats.weight_sum[labels][multi] / remaining[multi]
+    delta = (stats.weight_sum[:, None] * weights[None, :]) / (
+        stats.weight_sum[:, None] + weights[None, :]
+    )
+    delta = delta.T
+    delta *= divs
+    delta -= (weights * src_scale * own)[:, None]
+    delta[rows, labels] = np.inf
+    return delta
+
+
 def reference_kmeanspp(dataset, k, spec, rng):
     """kmeans++ with each chosen point's divergences from the closed form
     ``rowwise``, as ``engine.init_centers`` drew it before it used the

@@ -1,5 +1,6 @@
 """Move costs, escape steps, and the single-move local search."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     exact_sqe_loss,
     random_instance,
     random_spd,
+    reference_quadratic_move_costs,
     spec_for,
 )
 from lokmeans import (
@@ -23,8 +25,9 @@ from lokmeans import (
     certify_d_local,
     run,
 )
+from lokmeans import localopt
 from lokmeans.data_io import synth_uniform_grid
-from lokmeans.divergence import pairwise
+from lokmeans.divergence import SQUARED_EUCLIDEAN, SQUARED_MAHALANOBIS, pairwise
 from lokmeans.localopt import (
     c_lo_step,
     d_lo_step,
@@ -331,6 +334,65 @@ def test_move_costs_and_steps_do_not_depend_on_divs_layout(kind):
         for step in (d_lo_step, min_d_lo_step):
             moves = [_choose(step, dataset, labels, stats, centers, spec, divs=m) for m in layouts]
             assert moves[0] == moves[1]
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["one-block", "row-blocks"])
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 90),
+    d=st.integers(1, 4),
+    k=st.integers(1, 12),
+    singletons=st.integers(0, 11),
+    kind=st.sampled_from((SQUARED_EUCLIDEAN, SQUARED_MAHALANOBIS)),
+    offset=st.sampled_from((0.0, 1e5)),
+    block_rows=st.integers(1, 5),
+)
+def test_quadratic_move_costs_are_the_bits_of_the_broadcast_form(
+    blocked, seed, n, d, k, singletons, kind, offset, block_rows
+):
+    # Random labelings in which the first ``singletons`` clusters hold one
+    # point each. "row-blocks" shrinks the scratch bound so that W + w is
+    # formed in several blocks of ``block_rows`` center rows, the last one
+    # possibly short.
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    singletons = min(singletons, k - 1)
+    dataset = Dataset(rng.normal(size=(n, d)) + offset, rng.integers(1, 4, size=n).astype(float))
+    spec = spec_for(kind, rng, d)
+    labels = np.concatenate([rng.permutation(k), rng.integers(singletons, k, size=n - k)])
+    labels = labels[rng.permutation(n)]
+    stats, centers = _state(dataset, labels, k)
+    divs = pairwise(spec, dataset.points, centers)
+    want = reference_quadratic_move_costs(dataset, labels, stats, divs)
+    with pytest.MonkeyPatch.context() as patch:
+        if blocked:
+            patch.setattr(localopt, "CHUNK_ELEMENTS", block_rows * n)
+        got = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
+    assert got.strides == want.strides
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_quadratic_move_cost_matrix_holds_its_output_and_one_scratch():
+    # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8), whose (K, N)
+    # arrays take 128 KB: three broadcast temporaries peaked at 419 KB,
+    # the bounded scratch at 291 KB. A ufunc with two broadcast operands
+    # allocates a transient as large as its output; a one-operand
+    # broadcast holds a buffer of at most 64 KB.
+    rng = np.random.default_rng(5)
+    n, k, d = 1000, 16, 8
+    dataset = Dataset(rng.normal(size=(n, d)), rng.integers(1, 4, size=n).astype(float))
+    labels = np.arange(n) % k
+    stats, centers = _state(dataset, labels, k)
+    divs = pairwise(SQE, dataset.points, centers)
+    move_cost_matrix(dataset, labels, stats, centers, SQE, divs)
+    tracemalloc.start()
+    try:
+        got = move_cost_matrix(dataset, labels, stats, centers, SQE, divs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * got.nbytes + 40_000, peak
 
 
 def test_steps_decline_at_single_move_optimum(counterexample):

@@ -14,7 +14,6 @@ from lokmeans.model import (
     check_labels,
     cluster_stats,
     clustering_loss,
-    weighted_points,
 )
 
 KMEANS_LABELS = np.array([0, 0, 0, 1, 1])
@@ -77,27 +76,10 @@ def test_cluster_stats_totals():
         )
 
 
-def test_cluster_stats_with_weighted_points_is_bit_identical():
-    rng = np.random.default_rng(17)
-    for offset in (0.0, 1e5):
-        dataset = Dataset(rng.normal(size=(200, 5)) + offset, rng.uniform(0.5, 3.0, size=200))
-        weighted = weighted_points(dataset.points, dataset.weights)
-        for k in (1, 4, 9):
-            labels = rng.integers(0, k, size=200)
-            want = cluster_stats(dataset, labels, k)
-            got = cluster_stats(dataset, labels, k, weighted=weighted)
-            for field in ("weight_sum", "coord_sum", "member_count"):
-                a, b = getattr(got, field), getattr(want, field)
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-
-
-def test_cluster_stats_checks_labels_and_weighted_points():
+def test_cluster_stats_checks_labels():
     dataset = Dataset(np.array([[1.0], [2.0], [4.0]]), np.ones(3))
-    weighted = weighted_points(dataset.points, dataset.weights)
     with pytest.raises(ValueError, match=r"lie in \[0, 2\)"):
-        cluster_stats(dataset, np.array([0, 1, 2]), 2, weighted=weighted)
-    with pytest.raises(ValueError, match="weighted points shape"):
-        cluster_stats(dataset, np.array([0, 1, 1]), 2, weighted=weighted.T)
+        cluster_stats(dataset, np.array([0, 1, 2]), 2)
 
 
 def test_stats_move_matches_recount(counterexample):
