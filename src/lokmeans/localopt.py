@@ -23,8 +23,8 @@ Hartigan's form (Telgarsky & Vattani, *Hartigan's Method*, AISTATS 2010)
 with W the cluster weights; a singleton source contributes -w D(x_g, c_a).
 ``move_cost_matrix`` reads it off the cached (N, K) divergence matrix, so
 these kinds need no (N, K, d) scratch: besides its output they hold one
-(K, N) scratch for ``W + w``, bounded by ``CHUNK_ELEMENTS``. KL and
-Itakura-Saito keep the rank-one form.
+(K, N) scratch for ``W + w``. KL and Itakura-Saito keep the rank-one form,
+one destination center at a time, so their scratch is a few (N, d) arrays.
 
 The escape steps ``c_lo_step``, ``d_lo_step`` and ``min_d_lo_step`` only
 choose a move: each leaves its arguments untouched and returns the move as
@@ -46,7 +46,6 @@ import numpy as np
 
 from .divergence import DivergenceSpec, rowwise
 from .model import (
-    CHUNK_ELEMENTS,
     ClusterStats,
     Dataset,
     check_tolerance,
@@ -100,21 +99,15 @@ def move_cost_matrix(
         src_scale = np.ones(n, dtype=np.float64)
         src_scale[multi] = stats.weight_sum[labels][multi] / remaining[multi]
         # W w / (W + w), built (K, N) and viewed as (N, K) like pairwise's
-        # output. W + w fills a scratch of whole (contiguous) center rows, at
-        # most CHUNK_ELEMENTS. einsum writes W w with no transient, after the
-        # first block, so the add's 64 KB iterator buffer never meets it.
-        weight_sum = stats.weight_sum
-        step = max(1, CHUNK_ELEMENTS // n)
-        grown = np.empty((min(k, step), n))
-        delta = None
-        for lo in range(0, k, step):
-            block = grown[: min(k - lo, step)]
-            block[...] = weight_sum[lo : lo + step, None]
-            block += weights
-            if delta is None:
-                delta = np.einsum("k,n->kn", weight_sum, weights)
-            delta[lo : lo + step] /= block
-        del grown, block  # freed before the subtraction below takes its buffer
+        # output. W + w fills one (K, N) scratch by a one-operand broadcast
+        # and an in-place add. einsum writes W w with no transient, after
+        # the add, so the add's 64 KB iterator buffer never meets it.
+        grown = np.empty((k, n))
+        grown[...] = stats.weight_sum[:, None]
+        grown += weights
+        delta = np.einsum("k,n->kn", stats.weight_sum, weights)
+        delta /= grown
+        del grown  # freed before the subtraction below takes its buffer
         delta = delta.T
         delta *= divs
         delta -= (weights * src_scale * own)[:, None]
@@ -131,17 +124,9 @@ def move_cost_matrix(
                 spec, centers[src], points[idx], stats.weight_sum[src], -weights[idx]
             )
         delta -= src_term[:, None]
-        # Destination term: (K, rows, d) scratch, chunked over rows to bound memory.
-        step = max(1, CHUNK_ELEMENTS // max(1, k * points.shape[1]))
-        for start in range(0, n, step):
-            stop = min(n, start + step)
-            delta[start:stop] -= shift_cost(
-                spec,
-                centers[:, None, :],
-                points[None, start:stop, :],
-                stats.weight_sum[:, None],
-                weights[None, start:stop],
-            ).T
+        # Destination term, one center at a time: (N, d) scratch per column.
+        for b in range(k):
+            delta[:, b] -= shift_cost(spec, centers[b], points, stats.weight_sum[b], weights)
 
     delta[rows, labels] = np.inf
     return delta

@@ -8,10 +8,9 @@ over hard assignments P and centers C. For every divergence supported
 here the optimal center of a cluster is its weighted mean, so center
 updates never depend on the divergence choice: every center is
 ``ClusterStats.centers()`` of its cluster's sums. The escape core and the
-certificates share three definitions from here: ``within_tie_band`` (the
-tie band), ``rounding_floor`` (the one bar a gain must clear, at any
-offset) and ``CHUNK_ELEMENTS`` (the bound on their (rows, K, d) scratch
-and on the (K, N) scratch of the quadratic move costs).
+certificates share two definitions from here: ``within_tie_band`` (the
+tie band) and ``rounding_floor`` (the one bar a gain must clear, at any
+offset).
 """
 
 from __future__ import annotations
@@ -203,11 +202,6 @@ def rounding_floor(loss: float) -> float:
 
 # Default relative width of the tie band, for every caller that takes one.
 TIE_TOLERANCE = 1e-9
-
-# Elements of scratch that a move-cost or certificate pass over all N x K
-# moves allocates at once: its (rows, K, d) or quadratic (K, N) scratch is
-# chunked to fit.
-CHUNK_ELEMENTS = 4_000_000
 
 
 def within_tie_band(divs: np.ndarray, tie_tolerance: float) -> np.ndarray:

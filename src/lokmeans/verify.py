@@ -21,7 +21,6 @@ import numpy as np
 
 from .divergence import DivergenceSpec, check_domain, mean_shift, pairwise, phi, phi_magnitude, rowwise
 from .model import (
-    CHUNK_ELEMENTS,
     TIE_TOLERANCE,
     ClusterStats,
     Dataset,
@@ -125,13 +124,11 @@ def _adjacent_deltas(
     moved_out = (sums[labels[multi]] - w[multi, None] * x[multi]) / left[:, None]
     source[multi] -= left * phi(spec, moved_out)
 
-    delta = np.empty((n, k))
-    step = max(1, CHUNK_ELEMENTS // max(1, k * dataset.dim))
-    for start in range(0, n, step):
-        rows = slice(start, min(n, start + step))
-        grown = totals + w[rows, None]
-        moved_in = (sums + w[rows, None, None] * x[rows, None, :]) / grown[:, :, None]
-        delta[rows] = source[rows, None] + held - grown * phi(spec, moved_in)
+    delta = np.empty((k, n)).T  # center-major, like pairwise's output
+    for b in range(k):
+        grown = totals[b] + w
+        moved_in = (sums[b] + w[:, None] * x) / grown[:, None]
+        delta[:, b] = source + held[b] - grown * phi(spec, moved_in)
     delta[np.arange(n), labels] = np.inf
     return delta
 
@@ -161,9 +158,10 @@ def certify_d_local(
 ) -> Certificate:
     """Compare F against every single-point reassignment in O(N K d).
 
-    Every adjacent delta comes from the Bregman-information identity in one
-    vectorised pass (``_adjacent_deltas``); it lies within ``beta`` of the
-    recomputed difference ``F(moved) - F`` (``adjacent_delta_bound``).
+    Every adjacent delta comes from the Bregman-information identity,
+    scored one destination center at a time (``_adjacent_deltas``); it lies
+    within ``beta`` of the recomputed difference ``F(moved) - F``
+    (``adjacent_delta_bound``).
     Each move whose fast delta lies within ``2 beta`` of the smallest one
     is recomputed exactly with ``loss_at_optimal_centers``, as is any move
     whose fast delta is not finite. Every move that could hold the
@@ -234,7 +232,7 @@ def certify_c_local(
             NOT_LOCAL, None, 0.0, 0, note=f"cluster {int(empty[0])} is empty"
         )
 
-    optimal = stats.coord_sum / stats.weight_sum[:, None]
+    optimal = stats.centers()
     drift = np.abs(centers - optimal).max()
     if drift > _CENTER_TOLERANCE * (1.0 + np.abs(optimal).max()):
         raise ValueError(

@@ -13,6 +13,8 @@ from lokmeans.divergence import (
     KL,
     SQUARED_EUCLIDEAN,
     SQUARED_MAHALANOBIS,
+    mean_shift,
+    phi,
     rowwise,
 )
 from lokmeans.data_io import CsvFormatError, RawTable, counterexample_instance
@@ -22,6 +24,7 @@ from lokmeans.model import (
     cluster_stats,
     rounding_floor,
     row_keys,
+    weighted_sums,
 )
 from lokmeans.verify import D_LOCAL, NOT_LOCAL, Certificate, MoveDelta, loss_at_optimal_centers
 
@@ -104,6 +107,53 @@ def reference_quadratic_move_costs(dataset, labels, stats, divs):
     delta -= (weights * src_scale * own)[:, None]
     delta[rows, labels] = np.inf
     return delta
+
+
+def reference_bregman_move_costs(dataset, labels, stats, centers, spec, divs):
+    """``move_cost_matrix`` for KL and Itakura-Saito with the destination
+    term as one (K, N, d) broadcast of ``shift_cost``: the loop over
+    destination centers of ``move_cost_matrix`` must give the same bits."""
+    points, weights = dataset.points, dataset.weights
+    rows = np.arange(dataset.n)
+    own = divs[rows, labels]
+    idx = np.flatnonzero(stats.member_count[labels] > 1)
+    src = labels[idx]
+    delta = weights[:, None] * (divs - own[:, None])
+    src_term = np.zeros(dataset.n, dtype=np.float64)
+    src_term[idx] = shift_cost(spec, centers[src], points[idx], stats.weight_sum[src], -weights[idx])
+    delta -= src_term[:, None]
+    delta -= shift_cost(
+        spec, centers[:, None, :], points[None, :, :], stats.weight_sum[:, None], weights[None, :]
+    ).T
+    delta[rows, labels] = np.inf
+    return delta
+
+
+def reference_adjacent_deltas(dataset, labels, stats, spec):
+    """``verify._adjacent_deltas`` with every destination's post-move mean
+    in one (N, K, d) broadcast: the loop over destination centers must give
+    the same bits."""
+    x, w = mean_shift(spec, dataset.points)[0], dataset.weights
+    totals = stats.weight_sum
+    sums = weighted_sums(x, w, labels, stats.k)
+    held = totals * phi(spec, sums / totals[:, None])
+    source = held[labels]
+    multi = np.flatnonzero(stats.member_count[labels] > 1)
+    left = totals[labels[multi]] - w[multi]
+    moved_out = (sums[labels[multi]] - w[multi, None] * x[multi]) / left[:, None]
+    source[multi] -= left * phi(spec, moved_out)
+    grown = totals + w[:, None]
+    moved_in = (sums + w[:, None, None] * x[:, None, :]) / grown[:, :, None]
+    delta = source[:, None] + held - grown * phi(spec, moved_in)
+    delta[np.arange(dataset.n), labels] = np.inf
+    return delta
+
+
+def labels_with_singletons(rng, n, k, singletons):
+    """A random labeling of n points that uses all k clusters, the first
+    ``singletons`` of them (at most k - 1) with one point each."""
+    labels = np.concatenate([rng.permutation(k), rng.integers(singletons, k, size=n - k)])
+    return labels[rng.permutation(n)]
 
 
 def reference_kmeanspp(dataset, k, spec, rng):

@@ -12,8 +12,10 @@ from conftest import (
     ALL_KINDS,
     delta_move,
     exact_sqe_loss,
+    labels_with_singletons,
     random_instance,
     random_spd,
+    reference_bregman_move_costs,
     reference_quadratic_move_costs,
     spec_for,
 )
@@ -25,9 +27,8 @@ from lokmeans import (
     certify_d_local,
     run,
 )
-from lokmeans import localopt
 from lokmeans.data_io import synth_uniform_grid
-from lokmeans.divergence import SQUARED_EUCLIDEAN, SQUARED_MAHALANOBIS, pairwise
+from lokmeans.divergence import ITAKURA_SAITO, KL, SQUARED_EUCLIDEAN, SQUARED_MAHALANOBIS, pairwise
 from lokmeans.localopt import (
     c_lo_step,
     d_lo_step,
@@ -336,7 +337,6 @@ def test_move_costs_and_steps_do_not_depend_on_divs_layout(kind):
             assert moves[0] == moves[1]
 
 
-@pytest.mark.parametrize("blocked", [False, True], ids=["one-block", "row-blocks"])
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(
     seed=st.integers(0, 10_000),
@@ -346,29 +346,51 @@ def test_move_costs_and_steps_do_not_depend_on_divs_layout(kind):
     singletons=st.integers(0, 11),
     kind=st.sampled_from((SQUARED_EUCLIDEAN, SQUARED_MAHALANOBIS)),
     offset=st.sampled_from((0.0, 1e5)),
-    block_rows=st.integers(1, 5),
 )
 def test_quadratic_move_costs_are_the_bits_of_the_broadcast_form(
-    blocked, seed, n, d, k, singletons, kind, offset, block_rows
+    seed, n, d, k, singletons, kind, offset
 ):
     # Random labelings in which the first ``singletons`` clusters hold one
-    # point each. "row-blocks" shrinks the scratch bound so that W + w is
-    # formed in several blocks of ``block_rows`` center rows, the last one
-    # possibly short.
+    # point each.
     rng = np.random.default_rng(seed)
     k = min(k, n)
-    singletons = min(singletons, k - 1)
     dataset = Dataset(rng.normal(size=(n, d)) + offset, rng.integers(1, 4, size=n).astype(float))
     spec = spec_for(kind, rng, d)
-    labels = np.concatenate([rng.permutation(k), rng.integers(singletons, k, size=n - k)])
-    labels = labels[rng.permutation(n)]
+    labels = labels_with_singletons(rng, n, k, min(singletons, k - 1))
     stats, centers = _state(dataset, labels, k)
     divs = pairwise(spec, dataset.points, centers)
     want = reference_quadratic_move_costs(dataset, labels, stats, divs)
-    with pytest.MonkeyPatch.context() as patch:
-        if blocked:
-            patch.setattr(localopt, "CHUNK_ELEMENTS", block_rows * n)
-        got = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
+    got = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
+    assert got.strides == want.strides
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 90),
+    d=st.integers(1, 16),
+    k=st.integers(1, 12),
+    singletons=st.integers(0, 11),
+    kind=st.sampled_from((KL, ITAKURA_SAITO)),
+    offset=st.sampled_from((0.0, 1e4)),
+)
+def test_bregman_move_costs_are_the_bits_of_the_broadcast_form(
+    seed, n, d, k, singletons, kind, offset
+):
+    # The destination term is scored one center at a time; each entry is
+    # the same element-wise expression and each row reduces its own
+    # d-vector, as in the (K, N, d) broadcast.
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    points = np.exp(rng.normal(size=(n, d))) + offset
+    dataset = Dataset(points, rng.integers(1, 4, size=n).astype(float))
+    spec = DivergenceSpec(kind)
+    labels = labels_with_singletons(rng, n, k, min(singletons, k - 1))
+    stats, centers = _state(dataset, labels, k)
+    divs = pairwise(spec, dataset.points, centers)
+    want = reference_bregman_move_costs(dataset, labels, stats, centers, spec, divs)
+    got = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
     assert got.strides == want.strides
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
@@ -393,6 +415,29 @@ def test_quadratic_move_cost_matrix_holds_its_output_and_one_scratch():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * got.nbytes + 40_000, peak
+
+
+@pytest.mark.parametrize("kind", (KL, ITAKURA_SAITO))
+def test_bregman_move_cost_matrix_holds_its_output_and_column_scratch(kind):
+    # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8): the output takes
+    # 128 KB and an (N, d) array 64 KB. Scoring one destination center at
+    # a time peaks at 533 KB (KL) and 587 KB (Itakura-Saito); the
+    # (K, rows, d) blocks it replaced peaked at 3.5 and 4.4 MB.
+    rng = np.random.default_rng(5)
+    n, k, d = 1000, 16, 8
+    dataset = Dataset(np.exp(rng.normal(size=(n, d))), rng.integers(1, 4, size=n).astype(float))
+    spec = DivergenceSpec(kind)
+    labels = np.arange(n) % k
+    stats, centers = _state(dataset, labels, k)
+    divs = pairwise(spec, dataset.points, centers)
+    move_cost_matrix(dataset, labels, stats, centers, spec, divs)
+    tracemalloc.start()
+    try:
+        got = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= got.nbytes + 8 * dataset.points.nbytes, peak
 
 
 def test_steps_decline_at_single_move_optimum(counterexample):

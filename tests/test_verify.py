@@ -1,5 +1,7 @@
 """Certificates and brute-force enumeration as independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from conftest import (
     adjacent_assignments,
     exact_sqe_loss,
     exhaustive_d_local,
+    labels_with_singletons,
     random_instance,
+    reference_adjacent_deltas,
     reference_loss_at_optimal_centers,
     spec_for,
 )
@@ -257,6 +261,60 @@ def test_fast_adjacent_deltas_lie_within_the_stated_bound():
             recomputed = loss_at_optimal_centers(dataset, trial_labels, k, spec) - base
             assert abs(fast[point, trial_labels[point]] - recomputed) <= bound
         assert np.isinf(fast[np.arange(dataset.n), labels]).all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 90),
+    d=st.integers(1, 16),
+    k=st.integers(1, 12),
+    singletons=st.integers(0, 11),
+    kind=st.sampled_from(ALL_KINDS),
+    offset=st.sampled_from((0.0, 1e4)),
+)
+def test_adjacent_deltas_are_the_bits_of_the_broadcast_form(seed, n, d, k, singletons, kind, offset):
+    # One destination center at a time gives each entry the same
+    # element-wise expression as the (N, K, d) broadcast. d stays at most
+    # 16: Mahalanobis phi forms ``x @ A`` by GEMM, and from d = 17 on
+    # OpenBLAS 0.3.31 (Haswell kernels) rounds some rows by the number of
+    # rows in the call, which differs between the two forms.
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    points = rng.normal(size=(n, d))
+    if kind in (KL, ITAKURA_SAITO):
+        points = np.exp(points)
+    dataset = Dataset(points + offset, rng.integers(1, 4, size=n).astype(float))
+    spec = spec_for(kind, rng, d)
+    labels = labels_with_singletons(rng, n, k, min(singletons, k - 1))
+    stats = cluster_stats(dataset, labels, k)
+    want = reference_adjacent_deltas(dataset, labels, stats, spec)
+    got = _adjacent_deltas(dataset, labels, stats, spec)
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_certify_d_local_holds_its_deltas_and_column_scratch(kind):
+    # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8): the (N, K)
+    # deltas take 128 KB and an (N, d) array 64 KB. Scoring one destination
+    # center at a time peaks at 486-550 KB; the (rows, K, d) blocks it
+    # replaced peaked at 2.5-3.7 MB.
+    rng = np.random.default_rng(5)
+    n, k, d = 1000, 16, 8
+    points = rng.normal(size=(n, d))
+    if kind in (KL, ITAKURA_SAITO):
+        points = np.exp(points)
+    dataset = Dataset(points, rng.integers(1, 4, size=n).astype(float))
+    spec = spec_for(kind, rng, d)
+    labels = np.arange(n) % k
+    certify_d_local(dataset, labels, k, spec)
+    tracemalloc.start()
+    try:
+        certify_d_local(dataset, labels, k, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * k + 8 * dataset.points.nbytes, peak
 
 
 def test_certify_d_local_rechecks_moves_the_fast_form_ranks_apart():
