@@ -78,8 +78,10 @@ def _dataset_from_args(args, spec: DivergenceSpec) -> Dataset:
     if args.data and args.synth:
         raise ValueError("pass either --data or --synth, not both")
     if args.data:
-        raw = load_csv(args.data, skip_header=args.skip_header, weight_column=args.weights_col)
-        dataset = dedup_merge(raw)
+        # No name holds the parsed table: it is freed once merged.
+        dataset = dedup_merge(
+            load_csv(args.data, skip_header=args.skip_header, weight_column=args.weights_col)
+        )
     elif args.synth:
         if args.weights_col is not None or args.skip_header:
             raise ValueError("--weights-col and --skip-header apply only to --data")

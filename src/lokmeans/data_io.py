@@ -53,7 +53,8 @@ def load_csv(path: str, skip_header: bool = False, weight_column: int | None = N
     rows = np.delete(table, weight_column, axis=1)
     if rows.shape[1] == 0:
         raise CsvFormatError(f"{path}: no coordinate columns besides the weight column")
-    return RawTable(rows, table[:, weight_column])
+    # A copy, not a view: the table is freed on return.
+    return RawTable(rows, table[:, weight_column].copy())
 
 
 def _read_with_numpy(path: str, skip_header: bool, weight_column: int | None) -> np.ndarray | None:
@@ -65,10 +66,12 @@ def _read_with_numpy(path: str, skip_header: bool, weight_column: int | None) ->
         data = handle.read()
     # numpy strips the ASCII separators \x1c-\x1f around a number, which
     # ``float`` refuses; csv refuses a field longer than its limit, and a
-    # field of an unquoted file lies within one line.
-    if any(sep in data for sep in b"\x1c\x1d\x1e\x1f") or (
-        max(map(len, data.split(b"\n"))) > csv.field_size_limit()
-    ):
+    # field of an unquoted file lies within one line. A line's length
+    # leaves out its "\n". io.BytesIO yields the lines one at a time, each
+    # with its "\n" but the last, so that one is measured apart.
+    last = len(data) - 1 - data.rfind(b"\n")
+    longest = max(max(map(len, io.BytesIO(data)), default=0) - 1, last)
+    if any(sep in data for sep in b"\x1c\x1d\x1e\x1f") or longest > csv.field_size_limit():
         return None
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
     try:
@@ -172,20 +175,31 @@ def dedup_merge(raw: RawTable) -> Dataset:
     ``-0.0``.
     """
     keys = row_keys(raw.rows)
-    rows = keys.view(np.float64).reshape(np.shape(raw.rows))
     weights = (
-        np.ones(rows.shape[0], dtype=np.float64)
+        np.ones(keys.size, dtype=np.float64)
         if raw.weights is None
         else np.asarray(raw.weights, dtype=np.float64)
     )
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # np.unique's groups from one sorted copy of the keys, freed at once
+    # (np.unique holds three): a stable sort leaves equal keys adjacent, in
+    # file order, so each run starts at its row's first appearance.
+    perm = keys.argsort(kind="stable")
+    ordered = keys[perm]
+    starts = np.ones(keys.size, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    del ordered
+    first = perm[starts]
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.cumsum(starts) - 1
     # Number the distinct rows by first appearance; bincount then adds each
     # row's weights in file order, as a running sum would.
     order = np.argsort(first)
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
     merged = np.bincount(slot[inverse], weights=weights, minlength=order.size)
-    return Dataset(rows[first[order]], merged)
+    rows = keys.view(np.float64).reshape(np.shape(raw.rows))[first[order]]
+    del keys  # the gather copied the rows; Dataset makes keys of its own
+    return Dataset(rows, merged)
 
 
 def filter_domain(dataset: Dataset, spec: DivergenceSpec) -> tuple[Dataset, list[int]]:

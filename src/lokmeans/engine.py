@@ -242,7 +242,9 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
     The point side of ``pairwise`` depends on the dataset alone: it is
     computed once per run and passed to every call. ``cluster_stats`` forms
     the weighted points on each call, so no (d, N) copy is held through the
-    escape steps.
+    escape steps. Only a fixed point's escape step reads a sweep's (N, K)
+    divergences: a sweep that changes the labels frees them before the
+    stats pass, and every iteration frees them before the loss pass.
     """
     validate_run_inputs(dataset, config)
     start = time.perf_counter()
@@ -288,6 +290,7 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
             # Unchanged labels leave no cluster empty: stats and centers stand.
             fixed = labels is not None and np.array_equal(fresh, labels)
             if not fixed:
+                divs = None
                 stats = cluster_stats(frame, fresh, config.k)
                 repairs += repair_empty_clusters(frame, fresh, stats, centers)
                 centers = stats.centers()
@@ -306,7 +309,7 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
             centers = stats.centers()
             invocations += 1
         # Free the (N, K) divergences before the loss pass: the frame costs an (N, d) copy.
-        del divs
+        divs = None
         trajectory.append(clustering_loss(dataset, labels, centers + origin, spec, check_points=False))
 
     return RunReport(
