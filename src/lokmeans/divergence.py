@@ -13,8 +13,8 @@ the generic phi / grad-phi expression; the equivalence of the two is
 covered by tests. ``pairwise`` instead splits every divergence into a
 row term, a column term and one matrix product (Banerjee et al.,
 *Clustering with Bregman Divergences*, JMLR 2005), so an (N, K) matrix
-costs one GEMM and no (N, K, d) scratch; ``point_terms`` holds the part
-that depends on the points alone, in their ``mean_shift`` frame. ``phi``
+costs one GEMM and no (N, K, d) scratch; ``point_terms`` builds the points'
+``mean_shift`` frame and the part that depends on the points alone. ``phi``
 evaluates the generating function itself, for the d-local certificate's
 Bregman-information form. For Mahalanobis, ``phi`` (and so ``rowwise``)
 and ``point_terms`` both take x^T A x as one matrix product ``x @ A`` and
@@ -203,13 +203,13 @@ def mean_shift(spec: DivergenceSpec, points: np.ndarray) -> tuple[np.ndarray, np
 
 @dataclass(frozen=True)
 class PointTerms:
-    """The point side of ``pairwise`` for one point set: it depends on the
-    points alone, so a run computes it once and passes it to every call.
+    """A point set's ``mean_shift`` frame and the point side of ``pairwise``
+    there, which depends on the points alone: a run computes it once.
 
-    ``origin`` is the ``mean_shift`` origin, ``operand`` the matrix the
-    centers' side multiplies (the shifted points, times A for Mahalanobis)
-    and ``row`` the per-point term. ``spec`` and ``points`` are the
-    arguments it was computed from.
+    ``points`` are the points in the frame (the caller's array for KL and
+    Itakura-Saito, whose origin is 0), ``origin`` its origin, ``operand``
+    the matrix the centers' side multiplies (``points``, times A for
+    Mahalanobis), ``row`` the per-point term and ``spec`` the divergence.
     """
 
     spec: DivergenceSpec
@@ -220,15 +220,15 @@ class PointTerms:
 
 
 def point_terms(spec: DivergenceSpec, points: np.ndarray) -> PointTerms:
-    """The point side of ``pairwise`` for ``points``: its mean shift, GEMM
-    operand and row term."""
+    """``points`` in their ``mean_shift`` frame, with the frame's origin and
+    the GEMM operand and row term of ``pairwise`` there."""
     x, origin = mean_shift(spec, points)
     operand = x if spec.matrix is None else x @ spec.matrix
     if spec.quadratic:
         row = np.einsum("ij,ij->i", operand, x)
     else:
         row = phi(spec, x) - (x.sum(axis=1) if spec.kind == KL else x.shape[1])
-    return PointTerms(spec, points, origin, operand, row)
+    return PointTerms(spec, x, origin, operand, row)
 
 
 def pairwise(
@@ -247,24 +247,25 @@ def pairwise(
     * KL                   sum(x log x - x) + sum(c) - x.log(c), 0 log 0 = 0
     * Itakura-Saito        x.(1/c) - sum(log x) + sum(log c) - d
 
-    Points and centers are first shifted to the ``mean_shift`` frame: for
-    the quadratic kinds the expansion would otherwise cancel terms of size
-    offset^2 down to spread^2, leaving rounding larger than real move gains.
-    Assumes in-domain inputs, like ``rowwise``; a non-finite center yields
-    a non-finite column.
-
-    ``terms``, from ``point_terms(spec, points)`` with these very objects,
-    skips recomputing the point side; the result is the same to the bit.
+    The expansion is taken in the points' ``mean_shift`` frame: for the
+    quadratic kinds it would otherwise cancel terms of size offset^2 down
+    to spread^2, leaving rounding larger than real move gains. ``terms``,
+    from ``point_terms(spec, raw)``, require ``points`` to be the very
+    array ``terms.points`` and ``centers`` to be in that frame; then
+    ``pairwise(spec, terms.points, centers - terms.origin, terms=terms)``
+    is ``pairwise(spec, raw, centers)`` to the bit. Assumes in-domain
+    inputs, like ``rowwise``; a non-finite center yields a non-finite column.
 
     The result is center-major: the transpose of a C-contiguous (K, N)
     product ``G(C) @ X.T``, so a min or argmax over the centers of each
     point reads contiguous memory.
     """
+    c = np.asarray(centers, dtype=np.float64)
     if terms is None:
         terms = point_terms(spec, points)
+        c = c - terms.origin
     elif terms.spec is not spec or terms.points is not points:
         raise ValueError("point terms were computed for another divergence or point set")
-    c = np.asarray(centers, dtype=np.float64) - terms.origin
     if spec.quadratic:
         ca = c if spec.matrix is None else c @ spec.matrix
         out = (-2.0 * c) @ terms.operand.T

@@ -31,7 +31,6 @@ from .divergence import (
     DomainError,
     PointTerms,
     check_domain,
-    mean_shift,
     pairwise,
     point_terms,
 )
@@ -134,13 +133,14 @@ def init_centers(
     "uniform" ignores weights. "kmeans++" draws the first center with
     probability proportional to weight, then each next one proportional to
     weight times divergence to the nearest chosen center. Each chosen
-    point's column of divergences is one ``pairwise`` call on ``terms``
-    (``point_terms(spec, dataset.points)``, built here when not given),
-    and its own mass is set to zero, so the draw is without replacement
-    whatever the kernel rounds a self-divergence to. Raises DomainError
+    point's column of divergences is one ``pairwise`` call on
+    ``terms.points``, and its own mass is set to zero, so the draw is
+    without replacement whatever the kernel rounds a self-divergence to.
+    ``terms`` default to ``point_terms(spec, dataset.points)``; given, they
+    must be the frame ``dataset`` is in, as in ``run``. Raises DomainError
     when the points leave the interior of the divergence's domain, and
-    ValueError when every remaining point's divergence to the chosen
-    centers is zero.
+    ValueError on another point set's or divergence's ``terms`` or when
+    every remaining point's divergence to the chosen centers is zero.
     """
     if k > dataset.n:
         raise ValueError(f"cannot choose {k} distinct centers from {dataset.n} points")
@@ -150,15 +150,17 @@ def init_centers(
         return dataset.points[chosen].copy()
     if init != "kmeans++":
         raise ValueError(f"unknown init {init!r}")
-    points, weights = dataset.points, dataset.weights
+    weights = dataset.weights
     if terms is None:
-        terms = point_terms(spec, points)
+        terms = point_terms(spec, dataset.points)
+    elif terms.spec is not spec or terms.points is not dataset.points:
+        raise ValueError("point terms were computed for another divergence or point set")
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.choice(dataset.n, p=weights / weights.sum())
     nearest = np.full(dataset.n, np.inf)
     for j in range(1, k):
         last = chosen[j - 1]
-        column = pairwise(spec, points, points[last : last + 1], terms=terms)[:, 0]
+        column = pairwise(spec, terms.points, terms.points[last : last + 1], terms=terms)[:, 0]
         np.minimum(nearest, column, out=nearest)
         nearest[last] = 0.0  # the kernel may round its self-divergence above 0
         mass = weights * nearest
@@ -169,7 +171,7 @@ def init_centers(
                 "a positive divergence to the chosen centers"
             )
         chosen[j] = rng.choice(dataset.n, p=mass / total)
-    return points[chosen].copy()
+    return dataset.points[chosen].copy()
 
 
 def _assign_with_divergences(
@@ -235,12 +237,12 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
     The loss trajectory records one value per iteration and is strictly
     decreasing: an iteration that changes nothing ends the run instead.
 
-    Every decision is made in the dataset's ``mean_shift`` frame: initial
-    centers enter it, reported centers and trajectory losses leave it, and
-    points that coincide in it raise ValueError.
-
-    The point side of ``pairwise`` depends on the dataset alone: it is
-    computed once per run and passed to every call. ``cluster_stats`` forms
+    Every decision is made in the dataset's mean-shift frame, which
+    ``point_terms`` builds once per run with the point side of ``pairwise``
+    that every call shares; for squared Euclidean the frame's points are
+    also that side's GEMM operand. Initial centers enter the frame,
+    reported centers and trajectory losses leave it, and points that
+    coincide in it raise ValueError. ``cluster_stats`` forms
     the weighted points on each call, so no (d, N) copy is held through the
     escape steps. Only a fixed point's escape step reads a sweep's (N, K)
     divergences: a sweep that changes the labels frees them before the
@@ -249,7 +251,8 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
     validate_run_inputs(dataset, config)
     start = time.perf_counter()
     spec = config.divergence
-    points, origin = mean_shift(spec, dataset.points)
+    terms = point_terms(spec, dataset.points)
+    points, origin = terms.points, terms.origin
     frame = dataset
     if points is not dataset.points:
         try:
@@ -257,7 +260,6 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
         except ValueError as exc:  # the caller's shape and weights: rows are non-finite or repeat
             what = "two points coincide" if np.isfinite(points).all() else str(exc)
             raise ValueError(f"{what} once their mean is subtracted; {spec.kind} runs in that frame") from None
-    terms = point_terms(spec, frame.points)
     rng = np.random.default_rng(config.seed)
     if config.initial_centers is not None:
         centers = config.initial_centers - origin
