@@ -22,9 +22,10 @@ Hartigan's form (Telgarsky & Vattani, *Hartigan's Method*, AISTATS 2010)
 
 with W the cluster weights; a singleton source contributes -w D(x_g, c_a).
 ``move_cost_matrix`` reads it off the cached (N, K) divergence matrix, so
-these kinds need no (N, K, d) scratch: besides its output they hold one
-(K, N) scratch for ``W + w``. KL and Itakura-Saito keep the rank-one form,
-one destination center at a time, so their scratch is a few (N, d) arrays.
+these kinds need no (N, K, d) scratch; KL and Itakura-Saito keep the
+rank-one form. Both are scored in one loop over destination centers, each
+filling its column of the output: besides the output, the quadratic kinds
+hold a few (N,) arrays and KL and Itakura-Saito a few (N, d) arrays.
 
 The escape steps ``c_lo_step``, ``d_lo_step`` and ``min_d_lo_step`` only
 choose a move: each leaves its arguments untouched and returns the move as
@@ -79,54 +80,56 @@ def move_cost_matrix(
     """(N, K) matrix of hard-move costs; the own-cluster column is +inf.
 
     ``divs`` is the point-to-center divergence matrix of ``pairwise``; the
-    result has its layout (center-major).
+    result has its layout (center-major). One loop over destination
+    centers b fills each column in place from a per-point source term
+    ``src``: ``w W_b / (W_b + w) D_b - src`` for the quadratic kinds
+    (Hartigan's form) and ``(D_b - D_a) w - src - shift_cost(c_b, x, W_b,
+    w)`` for KL and Itakura-Saito, evaluated in that order.
     """
     points = dataset.points
     weights = dataset.weights
     n, k = points.shape[0], centers.shape[0]
+    weight_sum = stats.weight_sum
 
     rows = np.arange(n)
     own = divs[rows, labels]
-    remaining = stats.weight_sum[labels] - weights
+    remaining = weight_sum[labels] - weights
     multi = stats.member_count[labels] > 1
     if ((remaining <= 0.0) & multi).any():
         raise ArithmeticError("cluster weights inconsistent with member weights")
 
+    # Source term, per point: Hartigan's w W_a / (W_a - w) D_a, or the
+    # rank-one shift_cost(c_a, x, W_a, -w). A singleton source keeps w D_a,
+    # or 0 with the rank-one formula skipped entirely, since its
+    # intermediate value could leave the divergence domain.
     if spec.quadratic:
-        # Hartigan's form: both center shifts are multiples of D(x, c), so
-        # the cost is read off the cached matrix. Singleton sources keep
-        # the plain -w D(x, c_a) term, as in the rank-one path below.
-        src_scale = np.ones(n, dtype=np.float64)
-        src_scale[multi] = stats.weight_sum[labels][multi] / remaining[multi]
-        # W w / (W + w), built (K, N) and viewed as (N, K) like pairwise's
-        # output. W + w fills one (K, N) scratch by a one-operand broadcast
-        # and an in-place add. einsum writes W w with no transient, after
-        # the add, so the add's 64 KB iterator buffer never meets it.
-        grown = np.empty((k, n))
-        grown[...] = stats.weight_sum[:, None]
-        grown += weights
-        delta = np.einsum("k,n->kn", stats.weight_sum, weights)
-        delta /= grown
-        del grown  # freed before the subtraction below takes its buffer
-        delta = delta.T
-        delta *= divs
-        delta -= (weights * src_scale * own)[:, None]
+        src = np.ones(n, dtype=np.float64)
+        src[multi] = weight_sum[labels][multi] / remaining[multi]
+        src *= weights
+        src *= own
     else:
-        delta = weights[:, None] * (divs - own[:, None])
-        # Source term: depends on the point only. Singleton sources
-        # contribute zero and their rank-one formula is skipped entirely,
-        # since its intermediate value could leave the divergence domain.
-        src_term = np.zeros(n, dtype=np.float64)
+        src = np.zeros(n, dtype=np.float64)
         if multi.any():
             idx = np.flatnonzero(multi)
-            src = labels[idx]
-            src_term[idx] = shift_cost(
-                spec, centers[src], points[idx], stats.weight_sum[src], -weights[idx]
-            )
-        delta -= src_term[:, None]
-        # Destination term, one center at a time: (N, d) scratch per column.
-        for b in range(k):
-            delta[:, b] -= shift_cost(spec, centers[b], points, stats.weight_sum[b], weights)
+            a = labels[idx]
+            src[idx] = shift_cost(spec, centers[a], points[idx], weight_sum[a], -weights[idx])
+
+    delta = np.empty((k, n)).T  # center-major, like pairwise's output
+    grown = np.empty(n)  # W_b + w, for the quadratic kinds
+    # ufunc calls with ``out=``: at K = 16, N = 1000 the in-place operators'
+    # dispatch would add a tenth to the call's time.
+    for col, div, center, w_b in zip(delta.T, divs.T, centers, weight_sum):
+        if spec.quadratic:
+            np.multiply(w_b, weights, out=col)
+            np.add(w_b, weights, out=grown)
+            np.divide(col, grown, out=col)
+            np.multiply(col, div, out=col)
+            np.subtract(col, src, out=col)
+        else:
+            np.subtract(div, own, out=col)
+            np.multiply(col, weights, out=col)
+            np.subtract(col, src, out=col)
+            np.subtract(col, shift_cost(spec, center, points, w_b, weights), out=col)
 
     delta[rows, labels] = np.inf
     return delta

@@ -101,7 +101,12 @@ def _losses_at_optimal_centers(
 
 
 def _adjacent_deltas(
-    dataset: Dataset, labels: np.ndarray, stats: ClusterStats, spec: DivergenceSpec
+    dataset: Dataset,
+    labels: np.ndarray,
+    stats: ClusterStats,
+    spec: DivergenceSpec,
+    *,
+    frame: np.ndarray | None = None,
 ) -> np.ndarray:
     """(N, K) change of F for every single-point move; the own column is +inf.
 
@@ -110,9 +115,11 @@ def _adjacent_deltas(
     F by ``W_a phi(c_a) + W_b phi(c_b) - (W_a - w) phi(c_a') - (W_b + w)
     phi(c_b')``, with c' the means after the move; the source term is 0
     when the move empties a. The sums come fresh from the labels, of the
-    points in the ``mean_shift`` frame.
+    points in the ``mean_shift`` frame; ``frame``, when given, must be
+    ``mean_shift(spec, dataset.points)[0]``.
     """
-    x, w = mean_shift(spec, dataset.points)[0], dataset.weights
+    x = mean_shift(spec, dataset.points)[0] if frame is None else frame
+    w = dataset.weights
     n, k = dataset.n, stats.k
     totals = stats.weight_sum
     sums = weighted_sums(x, w, labels, k)
@@ -133,7 +140,9 @@ def _adjacent_deltas(
     return delta
 
 
-def adjacent_delta_bound(dataset: Dataset, spec: DivergenceSpec, loss: float) -> float:
+def adjacent_delta_bound(
+    dataset: Dataset, spec: DivergenceSpec, loss: float, *, frame: np.ndarray | None = None
+) -> float:
     """Bound on the gap between a fast and a recomputed adjacent delta.
 
     ``beta = 8 (n + d + 4) u (Phi + F)`` with u = 2^-53 and F the loss.
@@ -141,11 +150,12 @@ def adjacent_delta_bound(dataset: Dataset, spec: DivergenceSpec, loss: float) ->
     most n points and d coordinates, so to first order each is off by at
     most (n + d + 4) u times ``Phi = sum_g w_g m(x_g)``, where m,
     ``divergence.phi_magnitude``, bounds |phi| and its sensitivity to
-    relative error (on the points in their ``mean_shift`` frame). A
-    recomputed delta differs two losses, each off by about (n + d) u F: a
-    center at a cluster mean moves the loss by its rounding to second order.
+    relative error (on the points in their ``mean_shift`` frame, which
+    ``frame`` gives as in ``_adjacent_deltas``). A recomputed delta differs
+    two losses, each off by about (n + d) u F: a center at a cluster mean
+    moves the loss by its rounding to second order.
     """
-    x, _ = mean_shift(spec, dataset.points)
+    x = mean_shift(spec, dataset.points)[0] if frame is None else frame
     total = float(dataset.weights @ phi_magnitude(spec, x)) + loss
     return 8.0 * (dataset.n + dataset.dim + 4) * (np.finfo(np.float64).eps / 2) * total
 
@@ -178,12 +188,14 @@ def certify_d_local(
     if empty.size:
         raise EmptyClusterError(int(empty[0]))
     base = loss_at_optimal_centers(dataset, labels, k, spec)
-    fast = _adjacent_deltas(dataset, labels, stats, spec)
+    frame = mean_shift(spec, dataset.points)[0]
+    fast = _adjacent_deltas(dataset, labels, stats, spec, frame=frame)
     finite = np.isfinite(fast)
     recheck = ~finite
     recheck[np.arange(dataset.n), labels] = False
     if finite.any():
-        recheck |= fast <= fast[finite].min() + 2.0 * adjacent_delta_bound(dataset, spec, base)
+        beta = adjacent_delta_bound(dataset, spec, base, frame=frame)
+        recheck |= fast <= fast[finite].min() + 2.0 * beta
     worst = np.inf
     worst_move: tuple[int, int, int] | None = None
     for point, dst in np.argwhere(recheck):
@@ -282,12 +294,20 @@ def certify_c_local(
 def brute_force_best(
     dataset: Dataset, k: int, spec: DivergenceSpec
 ) -> tuple[np.ndarray, float]:
-    """Global optimum by enumerating every assignment with no empty cluster.
+    """Global optimum by scoring every partition into k nonempty clusters once.
 
-    Guarded by BRUTE_FORCE_LIMIT on k**n. Restricting to surjective
-    assignments is lossless: moving a point into an empty cluster never
-    raises the loss, so some optimum uses all clusters. The loss returned
-    is ``loss_at_optimal_centers`` of the labels returned, to the bit.
+    Guarded by BRUTE_FORCE_LIMIT on k**n. Restricting to partitions with
+    no empty cluster is lossless: moving a point into an empty cluster
+    never raises the loss, so some optimum uses all clusters. Each
+    partition is scored in one labeling, its labels numbered in order of
+    first appearance: the first label is 0 and each label exceeds the
+    largest before it by at most 1. Labelings are enumerated in
+    lexicographic order and the first one of least loss is returned. A
+    relabeling leaves the loss unchanged to the bit (each cluster sums its
+    points in point order), and the lexicographically first labeling of a
+    partition is its numbering by first appearance, so the result is that
+    of scanning every labeling with no empty cluster. The loss returned is
+    ``loss_at_optimal_centers`` of the labels returned, to the bit.
     """
     check_domain(spec, dataset.points, "points")
     total = k**dataset.n
@@ -298,12 +318,16 @@ def brute_force_best(
     shape = (k,) * dataset.n
     best_loss = np.inf
     best_labels: np.ndarray | None = None
-    chunk = 512  # tracemalloc peak at n = 8, k = 3: 0.35 MB (0.63 MB at 1024)
+    chunk = 512  # tracemalloc peak at n = 8, k = 3: 0.30 MB (0.39 MB at 1024)
     for start in range(0, total, chunk):
         flat = np.arange(start, min(start + chunk, total))
         labels = np.stack(np.unravel_index(flat, shape), axis=1)
-        # Surjective rows: k - 1 steps between their sorted labels.
-        labels = labels[np.count_nonzero(np.diff(np.sort(labels)), axis=1) == k - 1]
+        # Labelings numbered in order of first appearance that use all k labels.
+        top = np.maximum.accumulate(labels, axis=1)
+        keep = (labels[:, 0] == 0) & (top[:, -1] == k - 1)
+        keep &= (labels[:, 1:] <= top[:, :-1] + 1).all(axis=1)
+        labels = labels[keep]
+        del top  # freed before the losses below
         if not labels.size:
             continue
         losses = _losses_at_optimal_centers(dataset, labels, k, spec)

@@ -1,5 +1,7 @@
 """Engine behavior: seeding, assignment, repair, and full runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -397,6 +399,26 @@ def test_config_validation():
             EngineConfig(k=2, divergence=SQE, tie_tolerance=bad)
     with pytest.raises(ValueError, match="initial_centers"):
         EngineConfig(k=2, divergence=SQE, initial_centers=np.zeros((3, 1)))
+
+
+def test_escape_run_holds_the_frame_divergences_and_move_costs():
+    # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8): the frame takes
+    # 64 KB and the divergence and move-cost matrices 128 KB each. A d-lo
+    # run peaks at 397-408 KB on seeds 1-6; a (K, N) scratch for W + w in
+    # the move costs took it to 517-528 KB.
+    rng = np.random.default_rng(1)
+    n, k, d = 1000, 16, 8
+    dataset = Dataset(rng.normal(size=(n, d)), rng.integers(1, 4, size=n).astype(float))
+    config = EngineConfig(k=k, divergence=SQE, init="kmeans++", variant="d-lo", seed=1)
+    run(dataset, config)
+    tracemalloc.start()
+    try:
+        report = run(dataset, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.new_step_invocations > 0
+    assert peak <= 450_000, peak
 
 
 def test_run_input_validation(counterexample):

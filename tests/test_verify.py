@@ -1,5 +1,6 @@
 """Certificates and brute-force enumeration as independent oracles."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -26,9 +27,10 @@ from lokmeans import (
     certify_c_local,
     certify_d_local,
     run,
+    verify,
 )
 from lokmeans.data_io import synth_uniform_grid
-from lokmeans.divergence import ITAKURA_SAITO, KL, SQUARED_MAHALANOBIS, pairwise
+from lokmeans.divergence import ITAKURA_SAITO, KL, SQUARED_MAHALANOBIS, mean_shift, pairwise
 from lokmeans.engine import init_centers
 from lokmeans.localopt import move_cost_matrix
 from lokmeans.model import EmptyClusterError, cluster_stats, rounding_floor
@@ -317,6 +319,35 @@ def test_certify_d_local_holds_its_deltas_and_column_scratch(kind):
     assert peak <= 8 * n * k + 8 * dataset.points.nbytes, peak
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_certify_d_local_builds_one_mean_shift_frame(kind, monkeypatch):
+    # The deltas and their bound read the points in one frame; each call
+    # builds it once, and passing it gives the bits of building it inside.
+    rng = np.random.default_rng(8)
+    dataset, k = random_instance(rng, n_range=(30, 40), k_range=(3, 4))
+    if kind not in (KL, ITAKURA_SAITO):
+        dataset = Dataset(dataset.points + 1e4, dataset.weights)
+    spec = spec_for(kind, rng, dataset.dim)
+    labels = np.arange(dataset.n) % k
+    want = certify_d_local(dataset, labels, k, spec)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mean_shift(*args)
+
+    monkeypatch.setattr(verify, "mean_shift", counted)
+    assert certify_d_local(dataset, labels, k, spec) == want
+    assert len(calls) == 1
+    stats = cluster_stats(dataset, labels, k)
+    frame = mean_shift(spec, dataset.points)[0]
+    loss = loss_at_optimal_centers(dataset, labels, k, spec)
+    fast = _adjacent_deltas(dataset, labels, stats, spec, frame=frame)
+    assert fast.tobytes() == _adjacent_deltas(dataset, labels, stats, spec).tobytes()
+    bound = adjacent_delta_bound(dataset, spec, loss, frame=frame)
+    assert bound == adjacent_delta_bound(dataset, spec, loss)
+
+
 def test_certify_d_local_rechecks_moves_the_fast_form_ranks_apart():
     # Two moves tie at a gain of -5/6; the fast form rounds one lowest, the
     # recomputed losses the other. Rechecking every move near the fast
@@ -402,6 +433,51 @@ def test_brute_force_loss_is_the_exact_loss_of_its_labels():
         spec = spec_for(ALL_KINDS[trial % 4], rng, dataset.dim)
         labels, loss = brute_force_best(dataset, k, spec)
         assert loss == loss_at_optimal_centers(dataset, labels, k, spec)
+
+
+def _first_least_of_every_labeling(dataset, k, spec):
+    """Every labeling with no empty cluster, in lexicographic order, scored
+    in one batch: the first one of least loss, and its loss."""
+    labelings = np.array(list(itertools.product(range(k), repeat=dataset.n)))
+    labelings = labelings[[np.unique(row).size == k for row in labelings]]
+    losses = _losses_at_optimal_centers(dataset, labelings, k, spec)
+    pick = int(np.argmin(losses))
+    return labelings[pick], losses[pick]
+
+
+def test_brute_force_is_the_first_least_of_every_labeling():
+    # Scoring each partition once, in its labeling by first appearance,
+    # gives the labels and loss bits of scanning every labeling. Integer
+    # grids hold exact ties between partitions of equal loss.
+    rng = np.random.default_rng(53)
+    for trial in range(24):
+        kind = ALL_KINDS[trial % 4]
+        if trial % 2:
+            dataset = synth_uniform_grid(int(rng.integers(5, 12)), int(rng.integers(1, 3)), trial)
+            k = int(rng.integers(1, min(3, dataset.n) + 1))
+        else:
+            dataset, k = random_instance(rng, n_range=(4, 7), k_range=(1, 3))
+        spec = spec_for(kind, rng, dataset.dim)
+        labels, loss = brute_force_best(dataset, k, spec)
+        want_labels, want_loss = _first_least_of_every_labeling(dataset, k, spec)
+        np.testing.assert_array_equal(labels, want_labels)
+        assert loss == want_loss
+
+
+def test_brute_force_scores_each_partition_once(monkeypatch):
+    # 966 partitions of 8 points into 3 nonempty clusters, each labeled
+    # 3! = 6 ways.
+    dataset = Dataset(np.random.default_rng(59).normal(size=(8, 2)), np.ones(8))
+    scored = []
+
+    def counted(dataset, labelings, k, spec):
+        scored.extend(map(tuple, labelings))
+        return _losses_at_optimal_centers(dataset, labelings, k, spec)
+
+    monkeypatch.setattr(verify, "_losses_at_optimal_centers", counted)
+    brute_force_best(dataset, 3, SQE)
+    assert len(scored) == len(set(scored)) == 966
+    assert all(row[0] == 0 for row in scored)
 
 
 def test_brute_force_respects_enumeration_limit():
