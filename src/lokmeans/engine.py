@@ -245,8 +245,10 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
     coincide in it raise ValueError. ``cluster_stats`` forms
     the weighted points on each call, so no (d, N) copy is held through the
     escape steps. Only a fixed point's escape step reads a sweep's (N, K)
-    divergences: a sweep that changes the labels frees them before the
-    stats pass, and every iteration frees them before the loss pass.
+    divergences, and ``d_lo_step`` and ``min_d_lo_step`` write their move
+    costs over them, so an escape step holds one (N, K) array. A sweep that
+    changes the labels frees them before the stats pass, and every
+    iteration frees them, read or consumed, before the loss pass.
     """
     validate_run_inputs(dataset, config)
     start = time.perf_counter()

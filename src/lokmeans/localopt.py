@@ -24,19 +24,23 @@ with W the cluster weights; a singleton source contributes -w D(x_g, c_a).
 ``move_cost_matrix`` reads it off the cached (N, K) divergence matrix, so
 these kinds need no (N, K, d) scratch; KL and Itakura-Saito keep the
 rank-one form. Both are scored in one loop over destination centers, each
-filling its column of the output: besides the output, the quadratic kinds
-hold a few (N,) arrays and KL and Itakura-Saito a few (N, d) arrays.
+column's costs written over its column of the divergences, which no cost
+column reads but its own: besides the (N, K) matrix it is given, the
+quadratic kinds hold a few (N,) arrays and KL and Itakura-Saito a few
+(N, d) arrays.
 
 The escape steps ``c_lo_step``, ``d_lo_step`` and ``min_d_lo_step`` only
-choose a move: each leaves its arguments untouched and returns the move as
-a ``(point, destination)`` pair, or None when it finds none. ``engine.run``
-makes the move with ``ClusterStats.move`` and takes the new centers from
-the stats, so each step gets ``divs`` computed at exactly the ``centers``
-it is given. ``d_lo_step`` and ``min_d_lo_step`` never empty a cluster: a
-singleton's point sits on its optimal center, so moving it out cannot
-lower the loss. A ``c_lo_step`` move that would empty one makes
-``engine.run`` raise EmptyClusterError. Variant "pnx" is ``d_lo_step`` run
-by ``engine.run`` without sweeps.
+choose a move, returned as a ``(point, destination)`` pair, or None when
+they find none. ``c_lo_step`` leaves its arguments untouched; ``d_lo_step``
+and ``min_d_lo_step`` leave all but ``divs``, which their move costs
+consume. ``engine.run`` makes the move with ``ClusterStats.move`` and
+takes the new centers from the stats, so each step gets ``divs`` computed
+at exactly the ``centers`` it is given, and drops them after the step.
+``d_lo_step`` and ``min_d_lo_step`` never empty a cluster: a singleton's
+point sits on its optimal center, so moving it out cannot lower the loss.
+A ``c_lo_step`` move that would empty one makes ``engine.run`` raise
+EmptyClusterError. Variant "pnx" is ``d_lo_step`` run by ``engine.run``
+without sweeps.
 """
 
 from __future__ import annotations
@@ -79,16 +83,18 @@ def move_cost_matrix(
 ) -> np.ndarray:
     """(N, K) matrix of hard-move costs; the own-cluster column is +inf.
 
-    ``divs`` is the point-to-center divergence matrix of ``pairwise``; the
-    result has its layout (center-major). One loop over destination
-    centers b fills each column in place from a per-point source term
+    ``divs`` is the point-to-center divergence matrix of ``pairwise``, and
+    the call consumes it: the result is ``divs`` itself, each column's
+    divergences overwritten by its costs. A caller that needs the
+    divergences afterwards passes a copy. One loop over destination
+    centers b rewrites each column in place from a per-point source term
     ``src``: ``w W_b / (W_b + w) D_b - src`` for the quadratic kinds
     (Hartigan's form) and ``(D_b - D_a) w - src - shift_cost(c_b, x, W_b,
     w)`` for KL and Itakura-Saito, evaluated in that order.
     """
     points = dataset.points
     weights = dataset.weights
-    n, k = points.shape[0], centers.shape[0]
+    n = points.shape[0]
     weight_sum = stats.weight_sum
 
     rows = np.arange(n)
@@ -114,25 +120,27 @@ def move_cost_matrix(
             a = labels[idx]
             src[idx] = shift_cost(spec, centers[a], points[idx], weight_sum[a], -weights[idx])
 
-    delta = np.empty((k, n)).T  # center-major, like pairwise's output
-    grown = np.empty(n)  # W_b + w, for the quadratic kinds
+    # Each column's cost overwrites its divergences, which nothing reads
+    # after ``own`` above: the result is ``divs`` itself.
+    factor = np.empty(n)  # W_b w / (W_b + w), for the quadratic kinds
+    grown = np.empty(n)  # W_b + w
     # ufunc calls with ``out=``: at K = 16, N = 1000 the in-place operators'
     # dispatch would add a tenth to the call's time.
-    for col, div, center, w_b in zip(delta.T, divs.T, centers, weight_sum):
+    for col, center, w_b in zip(divs.T, centers, weight_sum):
         if spec.quadratic:
-            np.multiply(w_b, weights, out=col)
+            np.multiply(w_b, weights, out=factor)
             np.add(w_b, weights, out=grown)
-            np.divide(col, grown, out=col)
-            np.multiply(col, div, out=col)
+            np.divide(factor, grown, out=factor)
+            np.multiply(factor, col, out=col)
             np.subtract(col, src, out=col)
         else:
-            np.subtract(div, own, out=col)
+            np.subtract(col, own, out=col)
             np.multiply(col, weights, out=col)
             np.subtract(col, src, out=col)
             np.subtract(col, shift_cost(spec, center, points, w_b, weights), out=col)
 
-    delta[rows, labels] = np.inf
-    return delta
+    divs[rows, labels] = np.inf
+    return divs
 
 
 def _move_costs_and_bar(
@@ -146,9 +154,11 @@ def _move_costs_and_bar(
     """Move-cost matrix and the gain a move must beat to be chosen.
 
     The bar is the rounding floor of the current loss, read off the
-    divergence matrix the costs are built from. Rows of singleton clusters
-    are +inf: emptying a cluster never lowers the loss (its optimal center
-    is the point itself), so such a move could only be rounding noise.
+    divergence matrix before the costs are written over it: the matrix
+    returned is ``divs``, consumed as in ``move_cost_matrix``. Rows of
+    singleton clusters are +inf: emptying a cluster never lowers the loss
+    (its optimal center is the point itself), so such a move could only be
+    rounding noise.
     """
     loss = float(dataset.weights @ divs[np.arange(dataset.n), labels])
     delta = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
@@ -205,6 +215,7 @@ def d_lo_step(
     later one gains more. Returns None when no move improves, i.e. the
     assignment is locally optimal over single-point moves. The floor holds
     far from the origin: ``engine.run`` passes the quadratic kinds in their mean frame.
+    The move costs are written over ``divs``.
     """
     delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs)
     improving = delta < -bar
@@ -227,7 +238,7 @@ def min_d_lo_step(
     costs to the smallest point, then cluster. Moves whose exact gains tie
     may compute some ulps apart, and then rounding decides. The move is
     chosen only when its gain clears the rounding floor of the current
-    loss, as in ``d_lo_step``."""
+    loss, and the move costs are written over ``divs``, as in ``d_lo_step``."""
     delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs)
     point = int(np.argmin(delta.min(axis=1)))
     dst = int(np.argmin(delta[point]))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DivergenceSpec, check_domain, rowwise
+from .divergence import DivergenceSpec, check_domain, phi, rowwise
 
 
 class EmptyClusterError(ValueError):
@@ -181,7 +181,12 @@ def clustering_loss(
     if check_points:
         check_domain(spec, dataset.points, "points")
     check_domain(spec, centers, "centers", require_interior=True)
-    per_point = rowwise(spec, dataset.points, centers[labels])
+    gathered = centers[labels]
+    if spec.quadratic:
+        # rowwise's phi(x - y), with x - y written over the gathered centers.
+        per_point = phi(spec, np.subtract(dataset.points, gathered, out=gathered))
+    else:
+        per_point = rowwise(spec, dataset.points, gathered)
     return float(per_point @ dataset.weights)
 
 

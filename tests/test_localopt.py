@@ -321,7 +321,9 @@ def test_min_d_lo_tie_breaks_toward_smaller_cluster_of_the_same_point():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_move_costs_and_steps_do_not_depend_on_divs_layout(kind):
     # pairwise returns a center-major (Fortran-ordered) matrix; a C-ordered
-    # copy of the same values must give bit-identical costs and moves.
+    # copy of the same values must give bit-identical costs and moves. The
+    # costs are written over the matrix they are given, so each call gets
+    # its own copy, in the same layout.
     rng = np.random.default_rng(17)
     for _ in range(6):
         dataset, _ = random_instance(rng, n_range=(8, 40), k_range=(3, 3))
@@ -330,10 +332,10 @@ def test_move_costs_and_steps_do_not_depend_on_divs_layout(kind):
         stats, centers = _state(dataset, labels, 3)
         divs = pairwise(spec, dataset.points, centers)
         layouts = (np.ascontiguousarray(divs), np.asfortranarray(divs))
-        costs = [move_cost_matrix(dataset, labels, stats, centers, spec, m) for m in layouts]
+        costs = [move_cost_matrix(dataset, labels, stats, centers, spec, np.copy(m)) for m in layouts]
         np.testing.assert_array_equal(costs[0], costs[1])
         for step in (d_lo_step, min_d_lo_step):
-            moves = [_choose(step, dataset, labels, stats, centers, spec, divs=m) for m in layouts]
+            moves = [_choose(step, dataset, labels, stats, centers, spec, divs=np.copy(m)) for m in layouts]
             assert moves[0] == moves[1]
 
 
@@ -399,36 +401,40 @@ def test_bregman_move_costs_are_the_bits_of_the_broadcast_form(
 
 
 def test_quadratic_move_cost_matrix_holds_its_output_and_column_scratch():
-    # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8), whose (K, N)
-    # output takes 128 KB and an (N,) float column 8 KB. Scoring one
-    # destination center at a time peaks at 173 KB: besides the output,
-    # the row indices, own divergences, remaining weights, source terms,
-    # the W_b + w scratch and a boolean mask, under seven columns. Three
-    # broadcast (K, N) temporaries peaked at 419 KB and one bounded (K, N)
-    # scratch at 291 KB.
+    # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8), whose (N, K)
+    # matrix takes 128 KB and an (N,) float column 8 KB. Writing each
+    # destination center's costs over its divergences peaks at 58 KB: the
+    # row indices, own divergences, remaining weights, source terms, the
+    # W_b w / (W_b + w) and W_b + w scratch and a boolean mask, under nine
+    # columns and no (N, K) array. A separate (N, K) output peaked at 173
+    # KB, three broadcast (K, N) temporaries at 419 KB and one bounded
+    # (K, N) scratch at 291 KB.
     rng = np.random.default_rng(5)
     n, k, d = 1000, 16, 8
     dataset = Dataset(rng.normal(size=(n, d)), rng.integers(1, 4, size=n).astype(float))
     labels = np.arange(n) % k
     stats, centers = _state(dataset, labels, k)
     divs = pairwise(SQE, dataset.points, centers)
-    move_cost_matrix(dataset, labels, stats, centers, SQE, divs)
+    move_cost_matrix(dataset, labels, stats, centers, SQE, np.copy(divs))
     tracemalloc.start()
     try:
         got = move_cost_matrix(dataset, labels, stats, centers, SQE, divs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= got.nbytes + 7 * 8 * n, peak
+    assert got is divs
+    assert peak <= 9 * 8 * n, peak
 
 
 @pytest.mark.parametrize("kind", (KL, ITAKURA_SAITO))
 def test_bregman_move_cost_matrix_holds_its_output_and_column_scratch(kind):
-    # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8): the output takes
-    # 128 KB and an (N, d) array 64 KB. Writing each destination center's
-    # column in place peaks at 462 KB (KL) and 459 KB (Itakura-Saito);
-    # subtracting each center's term from a full (N, K) matrix peaked at
-    # 533 and 587 KB, and the (K, rows, d) blocks before it at 3.5 and 4.4 MB.
+    # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8): the (N, K) matrix
+    # takes 128 KB and an (N, d) array 64 KB. Writing each destination center's
+    # costs over its divergences peaks at 404 KB (KL) and 459 KB
+    # (Itakura-Saito), in the source term; a separate (N, K) output peaked
+    # at 462 and 459 KB, subtracting each center's term from a full (N, K)
+    # matrix at 533 and 587 KB, and the (K, rows, d) blocks before it at
+    # 3.5 and 4.4 MB.
     rng = np.random.default_rng(5)
     n, k, d = 1000, 16, 8
     dataset = Dataset(np.exp(rng.normal(size=(n, d))), rng.integers(1, 4, size=n).astype(float))
@@ -436,7 +442,7 @@ def test_bregman_move_cost_matrix_holds_its_output_and_column_scratch(kind):
     labels = np.arange(n) % k
     stats, centers = _state(dataset, labels, k)
     divs = pairwise(spec, dataset.points, centers)
-    move_cost_matrix(dataset, labels, stats, centers, spec, divs)
+    move_cost_matrix(dataset, labels, stats, centers, spec, np.copy(divs))
     tracemalloc.start()
     try:
         got = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
@@ -530,17 +536,22 @@ def _sweep_fixed_points(kind, rng):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_steps_return_a_move_and_leave_their_arguments_untouched(kind):
     # Each step only chooses: engine.run makes the move. Every array the
-    # step is given keeps its bits, and the move is a pair of Python ints.
+    # step is given keeps its bits, except the divergences, which d_lo_step
+    # and min_d_lo_step consume (each step gets its own copy), and the move
+    # is a pair of Python ints.
     moves = dict.fromkeys(STEPS, 0)
     for dataset, spec, labels in _sweep_fixed_points(kind, np.random.default_rng(19)):
         stats, centers = _state(dataset, labels, int(labels.max()) + 1)
         divs = pairwise(spec, dataset.points, centers)
-        arrays = (labels, stats.weight_sum, stats.coord_sum, stats.member_count, centers, divs)
+        arrays = (labels, stats.weight_sum, stats.coord_sum, stats.member_count, centers)
         before = [a.copy() for a in arrays]
         for step in STEPS:
-            move = _choose(step, dataset, labels, stats, centers, spec, divs=divs)
+            given = np.copy(divs)
+            move = _choose(step, dataset, labels, stats, centers, spec, divs=given)
             for old, new in zip(before, arrays):
                 assert old.dtype == new.dtype and old.tobytes() == new.tobytes(), step.__name__
+            if step is c_lo_step:
+                assert given.tobytes() == divs.tobytes()
             if move is not None:
                 assert type(move) is tuple and [type(v) for v in move] == [int, int]
                 moves[step] += 1

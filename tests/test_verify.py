@@ -299,8 +299,10 @@ def test_adjacent_deltas_are_the_bits_of_the_broadcast_form(seed, n, d, k, singl
 def test_certify_d_local_holds_its_deltas_and_column_scratch(kind):
     # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8): the (N, K)
     # deltas take 128 KB and an (N, d) array 64 KB. Scoring one destination
-    # center at a time peaks at 486-550 KB; the (rows, K, d) blocks it
-    # replaced peaked at 2.5-3.7 MB.
+    # center at a time into one (N, d) buffer, and taking the smallest
+    # finite delta without a copy, peaks at 445-510 KB; fresh post-move
+    # means per center and an (N, K) copy peaked at 486-550 KB, and the
+    # (rows, K, d) blocks before them at 2.5-3.7 MB.
     rng = np.random.default_rng(5)
     n, k, d = 1000, 16, 8
     points = rng.normal(size=(n, d))
@@ -316,7 +318,7 @@ def test_certify_d_local_holds_its_deltas_and_column_scratch(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * n * k + 8 * dataset.points.nbytes, peak
+    assert peak <= 8 * n * k + 6 * dataset.points.nbytes, peak
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -478,6 +480,21 @@ def test_brute_force_scores_each_partition_once(monkeypatch):
     brute_force_best(dataset, 3, SQE)
     assert len(scored) == len(set(scored)) == 966
     assert all(row[0] == 0 for row in scored)
+
+
+def test_brute_force_holds_one_chunk_of_labelings():
+    # Figures for numpy 2.4: at n = 8, k = 3 the call peaks at 176 KB,
+    # forming only the labelings whose first label is 0; all k**n of them,
+    # 512 at a time, peaked at 303 KB.
+    dataset = Dataset(np.random.default_rng(59).normal(size=(8, 2)), np.ones(8))
+    brute_force_best(dataset, 3, SQE)
+    tracemalloc.start()
+    try:
+        brute_force_best(dataset, 3, SQE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200_000, peak
 
 
 def test_brute_force_respects_enumeration_limit():
