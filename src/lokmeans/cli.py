@@ -140,12 +140,28 @@ def _emit(args, payload, lines: list[str]) -> int:
     return 0
 
 
+def _certificate_lines(certs: dict) -> list[str]:
+    """Each certificate's kind with its note and witness move, or a skipped check's note."""
+    lines = []
+    for sense, key in (("continuous", "c_local"), ("discrete", "d_local")):
+        cert = certs[key]
+        if cert is None:
+            lines.append(f"{sense} certificate: {certs[f'{key}_note']}")
+            continue
+        details = [cert["note"]] if cert["note"] else []
+        if w := cert["witness"]:
+            move = f"{w['point']} from cluster {w['from_cluster']} to {w['to_cluster']}"
+            details.append(f"move point {move}: {w['delta']:+.6f}")
+        detail = f" ({'; '.join(details)})" if details else ""
+        lines.append(f"{sense} certificate: {cert['kind']}{detail}")
+    return lines
+
+
 def cmd_run(args) -> int:
     spec = _divergence_from_args(args)
     dataset = _dataset_from_args(args, spec)
     config = _config_from_args(args, spec)
     report = engine.run(dataset, config)
-    certs = experiments.certificates(dataset, report, config)
     payload = {
         "dataset": {"n": dataset.n, "d": dataset.dim, "total_weight": dataset.total_weight},
         "config": {
@@ -156,15 +172,16 @@ def cmd_run(args) -> int:
             "seed": config.seed,
         },
         "report": asdict(report),
-        "certificates": certs,
+        "certificates": experiments.certificates(
+            dataset, report.final_labels, report.final_centers, spec, config.tie_tolerance
+        ),
     }
-    d_kind = certs["d_local"]["kind"] if certs["d_local"] else "skipped"
     lines = [
         f"dataset: {dataset.n} points, {dataset.dim} dims, total weight {dataset.total_weight:g}",
         f"variant {config.variant}: loss {report.final_loss:.6f}, "
         f"{report.iterations} iterations, {report.new_step_invocations} escape steps, "
         f"{report.empty_cluster_repairs} repairs, {report.termination}",
-        f"certificates: continuous {certs['c_local']['kind']}, discrete {d_kind}",
+        *_certificate_lines(payload["certificates"]),
     ]
     if dataset.n <= 50:
         lines.append(f"labels: {report.final_labels.tolist()}")
@@ -208,13 +225,12 @@ def cmd_counterexample(args) -> int:
     payload = experiments.run_counterexample(args.max_iters, args.tie_tol)
     lines = ["five-point instance, k = 2, squared Euclidean, centers seeded at (0, 2.5)"]
     for variant, entry in payload["variants"].items():
-        certs = entry["certificates"]
-        d_kind = certs["d_local"]["kind"] if certs["d_local"] else "skipped"
         percent = ", ".join(f"{v:.1f}%" for v in entry["normalized_trajectory_percent"])
         lines.append(
             f"  {variant:>9}: loss {entry['final_loss']:.6f}  iterations {entry['iterations']}"
-            f"  continuous {certs['c_local']['kind']}  discrete {d_kind}  trajectory [{percent}]"
+            f"  trajectory [{percent}]"
         )
+        lines += [f"    {line}" for line in _certificate_lines(entry["certificates"])]
     return _emit(args, payload, lines)
 
 
@@ -232,24 +248,10 @@ def cmd_verify(args) -> int:
         )
     k = args.k if args.k is not None else int(labels.max()) + 1
     payload = experiments.certify_labels(dataset, labels, k, spec, args.tie_tol, args.brute_limit)
-    c_cert = payload["c_local"]
-    note = f" ({c_cert['note']})" if c_cert["note"] else ""
     lines = [
         f"loss {payload['loss']:.6f} over {dataset.n} points, k = {k}",
-        f"continuous certificate: {c_cert['kind']}{note}",
+        *_certificate_lines(payload),
     ]
-    d_cert = payload["d_local"]
-    if d_cert is None:
-        lines.append("discrete certificate: skipped (instance too large)")
-    else:
-        line = f"discrete certificate: {d_cert['kind']}"
-        if d_cert["witness"]:
-            w = d_cert["witness"]
-            line += (
-                f" (move point {w['point']} from cluster {w['from_cluster']}"
-                f" to {w['to_cluster']}: {w['delta']:+.6f})"
-            )
-        lines.append(line)
     if "global_loss" in payload:
         lines.append(
             f"gap to global optimum: {payload['gap_to_global']:.6f}"

@@ -44,31 +44,21 @@ def _check_replicates(replicates: int) -> None:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
 
 
-def d_local_certificate(
-    dataset: Dataset, labels: np.ndarray, k: int, spec: DivergenceSpec
-) -> dict | None:
-    """The d-local certificate, or None above ``MAX_CERTIFY_ADJACENTS`` candidates."""
-    if dataset.n * (k - 1) > MAX_CERTIFY_ADJACENTS:
-        return None
-    return asdict(verify.certify_d_local(dataset, labels, k, spec))
-
-
-def certificates(dataset: Dataset, report: RunReport, config: EngineConfig) -> dict:
-    """Both certificates of a run's result, as plain dicts."""
-    c_cert = verify.certify_c_local(
-        dataset,
-        report.final_labels,
-        report.final_centers,
-        config.divergence,
-        tie_tolerance=config.tie_tolerance,
-    )
-    certs = {
-        "c_local": asdict(c_cert),
-        "d_local": d_local_certificate(dataset, report.final_labels, config.k, config.divergence),
-    }
-    if certs["d_local"] is None:
-        certs["d_local_note"] = "skipped: instance above MAX_CERTIFY_ADJACENTS"
-    return certs
+def certificates(
+    dataset: Dataset,
+    labels: np.ndarray,
+    centers: np.ndarray,
+    spec: DivergenceSpec,
+    tie_tolerance: float,
+) -> dict:
+    """Both certificates at the labeling's ``len(centers)`` centers, as plain dicts;
+    the d-local one is None, with a note, above ``MAX_CERTIFY_ADJACENTS`` moves."""
+    c_cert = verify.certify_c_local(dataset, labels, centers, spec, tie_tolerance=tie_tolerance)
+    if dataset.n * (len(centers) - 1) > MAX_CERTIFY_ADJACENTS:
+        note = "skipped: instance above MAX_CERTIFY_ADJACENTS"
+        return {"c_local": asdict(c_cert), "d_local": None, "d_local_note": note}
+    d_cert = verify.certify_d_local(dataset, labels, len(centers), spec)
+    return {"c_local": asdict(c_cert), "d_local": asdict(d_cert)}
 
 
 def certify_labels(
@@ -91,13 +81,7 @@ def certify_labels(
         raise ValueError(f"cluster {first} is empty under the given labels")
     centers = model.cluster_stats(dataset, labels, k).centers()
     loss = model.clustering_loss(dataset, labels, centers, spec)
-    c_cert = verify.certify_c_local(dataset, labels, centers, spec, tie_tolerance=tie_tolerance)
-    payload = {
-        "loss": loss,
-        "k": k,
-        "c_local": asdict(c_cert),
-        "d_local": d_local_certificate(dataset, labels, k, spec),
-    }
+    payload = {"loss": loss, "k": k, **certificates(dataset, labels, centers, spec, tie_tolerance)}
     if k**dataset.n <= min(brute_limit, verify.BRUTE_FORCE_LIMIT):
         _, best = verify.brute_force_best(dataset, k, spec)
         payload["global_loss"] = best
@@ -287,6 +271,8 @@ def run_counterexample(
             "final_centers": report.final_centers,
             "loss_trajectory": report.loss_trajectory,
             "normalized_trajectory_percent": report.loss_trajectory / baseline * 100.0,
-            "certificates": certificates(dataset, report, config),
+            "certificates": certificates(
+                dataset, report.final_labels, report.final_centers, config.divergence, tie_tolerance
+            ),
         }
     return payload

@@ -106,7 +106,7 @@ def _adjacent_deltas(
     stats: ClusterStats,
     spec: DivergenceSpec,
     *,
-    frame: np.ndarray | None = None,
+    frame: np.ndarray,
 ) -> np.ndarray:
     """(N, K) change of F for every single-point move; the own column is +inf.
 
@@ -114,12 +114,10 @@ def _adjacent_deltas(
     Bregman information), so moving point g (weight w) from a to b changes
     F by ``W_a phi(c_a) + W_b phi(c_b) - (W_a - w) phi(c_a') - (W_b + w)
     phi(c_b')``, with c' the means after the move; the source term is 0
-    when the move empties a. The sums come fresh from the labels, of the
-    points in the ``mean_shift`` frame; ``frame``, when given, must be
-    ``mean_shift(spec, dataset.points)[0]``.
+    when the move empties a. The sums come fresh from the labels, of
+    ``frame``, the points in their ``mean_shift`` frame.
     """
-    x = mean_shift(spec, dataset.points)[0] if frame is None else frame
-    w = dataset.weights
+    x, w = frame, dataset.weights
     n, k = dataset.n, stats.k
     totals = stats.weight_sum
     sums = weighted_sums(x, w, labels, k)
@@ -144,7 +142,7 @@ def _adjacent_deltas(
 
 
 def adjacent_delta_bound(
-    dataset: Dataset, spec: DivergenceSpec, loss: float, *, frame: np.ndarray | None = None
+    dataset: Dataset, spec: DivergenceSpec, loss: float, *, frame: np.ndarray
 ) -> float:
     """Bound on the gap between a fast and a recomputed adjacent delta.
 
@@ -158,8 +156,7 @@ def adjacent_delta_bound(
     two losses, each off by about (n + d) u F: a center at a cluster mean
     moves the loss by its rounding to second order.
     """
-    x = mean_shift(spec, dataset.points)[0] if frame is None else frame
-    total = float(dataset.weights @ phi_magnitude(spec, x)) + loss
+    total = float(dataset.weights @ phi_magnitude(spec, frame)) + loss
     return 8.0 * (dataset.n + dataset.dim + 4) * (np.finfo(np.float64).eps / 2) * total
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import lokmeans
-from lokmeans import engine
+from lokmeans import engine, experiments
 from lokmeans.cli import _jsonable, build_parser, main
 from lokmeans.experiments import IMPROVEMENT_METRICS
 
@@ -519,6 +519,35 @@ def test_out_writes_exactly_what_stdout_carries(command, fmt, tmp_path, monkeypa
     assert main(argv + ["--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_a_skipped_d_local_check_reads_the_same_in_every_payload_and_text(
+    tmp_path, monkeypatch, capsys
+):
+    # With the gate at 0 every instance skips the d-local check: each
+    # certificate pair of run, counterexample and verify says so with one
+    # note, and each text prints that note once per pair.
+    monkeypatch.setattr(experiments, "MAX_CERTIFY_ADJACENTS", 0)
+    pairs_of = {
+        "run": lambda payload: [payload["certificates"]],
+        "counterexample": lambda payload: [
+            entry["certificates"] for entry in payload["variants"].values()
+        ],
+        "verify": lambda payload: [payload],
+    }
+    notes, texts = set(), []
+    for command, pairs in pairs_of.items():
+        argv = _output_argv(command, tmp_path)
+        assert main(argv + ["--json"]) == 0
+        certs = pairs(_json_output(capsys)[0])
+        assert [c["d_local"] for c in certs] == [None] * len(certs)
+        notes.update(c["d_local_note"] for c in certs)
+        assert main(argv) == 0
+        texts.append((capsys.readouterr().out, len(certs)))
+    (note,) = notes
+    assert note
+    for text, count in texts:
+        assert text.count(f"discrete certificate: {note}\n") == count
 
 
 def test_readme_documents_every_subcommand_flag():

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import reference_dedup_merge, reference_load_csv
@@ -125,6 +125,7 @@ def csv_texts(draw):
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
+@seed(0)
 @settings(
     derandomize=True,
     deadline=None,
@@ -302,6 +303,7 @@ def test_dedup_merge_merges_rows_that_differ_only_in_a_signed_zero():
     np.testing.assert_array_equal(dataset.weights, [3.0, 4.0])
 
 
+@seed(0)
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(
     data=st.data(),

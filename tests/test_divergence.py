@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -155,6 +155,7 @@ def test_mahalanobis_phi_is_exact_on_small_integers():
         assert rowwise(spec, x, y).tolist() == [float(exact(row)) for row in x - y]
 
 
+@seed(0)
 @PROPERTY
 @given(_interior_vectors())
 def test_generic_form_equivalence(pair):
@@ -168,6 +169,7 @@ def test_generic_form_equivalence(pair):
         assert abs(closed - generic) <= 1e-10 * scale
 
 
+@seed(0)
 @PROPERTY
 @given(_interior_vectors())
 def test_nonnegativity(pair):

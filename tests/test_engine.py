@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_KINDS, random_instance, reference_kmeanspp, spec_for
@@ -208,6 +208,7 @@ def _first_parting_draw(dataset, k, spec, seed):
     return next(m - 1 for m in range(1, k + 1) if not agree(m))
 
 
+@seed(0)
 @settings(derandomize=True, deadline=None, max_examples=200)
 # Both kinds part at offset 1e4 as well: KL at its 24th draw, by 1.6e-11
 # against a bound of 1.8e-10; Itakura-Saito at its 18th, by 2e-15 against 1.8e-14.

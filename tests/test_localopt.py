@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -339,6 +339,7 @@ def test_move_costs_and_steps_do_not_depend_on_divs_layout(kind):
             assert moves[0] == moves[1]
 
 
+@seed(0)
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(
     seed=st.integers(0, 10_000),
@@ -367,6 +368,7 @@ def test_quadratic_move_costs_are_the_bits_of_the_broadcast_form(
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+@seed(0)
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(
     seed=st.integers(0, 10_000),
@@ -581,6 +583,7 @@ def test_escapes_certify_on_tie_heavy_grids_far_from_origin(offset):
                 assert cert.kind == "d-local", case
 
 
+@seed(0)
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(
     seed=st.integers(0, 10_000),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -210,6 +210,7 @@ TIE_HEAVY_ROWS = st.tuples(st.integers(1, 12), st.integers(1, 3)).flatmap(
 )
 
 
+@seed(0)
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(TIE_HEAVY_ROWS)
 def test_dataset_distinctness_matches_value_equality(points):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -55,6 +55,7 @@ def test_loss_at_optimal_centers_tolerates_empty_clusters(counterexample):
     assert collapsed == pytest.approx(float(spread @ spread), abs=1e-12)
 
 
+@seed(0)
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     seed=st.integers(0, 10_000),
@@ -256,8 +257,10 @@ def test_fast_adjacent_deltas_lie_within_the_stated_bound():
         else:
             labels = run(dataset, EngineConfig(k=k, divergence=spec, seed=trial)).final_labels
         base = loss_at_optimal_centers(dataset, labels, k, spec)
-        fast = _adjacent_deltas(dataset, labels, cluster_stats(dataset, labels, k), spec)
-        bound = adjacent_delta_bound(dataset, spec, base)
+        frame = mean_shift(spec, dataset.points)[0]
+        stats = cluster_stats(dataset, labels, k)
+        fast = _adjacent_deltas(dataset, labels, stats, spec, frame=frame)
+        bound = adjacent_delta_bound(dataset, spec, base, frame=frame)
         for trial_labels in adjacent_assignments(labels, k):
             point = int(np.flatnonzero(trial_labels != labels)[0])
             recomputed = loss_at_optimal_centers(dataset, trial_labels, k, spec) - base
@@ -265,6 +268,7 @@ def test_fast_adjacent_deltas_lie_within_the_stated_bound():
         assert np.isinf(fast[np.arange(dataset.n), labels]).all()
 
 
+@seed(0)
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(
     seed=st.integers(0, 10_000),
@@ -291,7 +295,7 @@ def test_adjacent_deltas_are_the_bits_of_the_broadcast_form(seed, n, d, k, singl
     labels = labels_with_singletons(rng, n, k, min(singletons, k - 1))
     stats = cluster_stats(dataset, labels, k)
     want = reference_adjacent_deltas(dataset, labels, stats, spec)
-    got = _adjacent_deltas(dataset, labels, stats, spec)
+    got = _adjacent_deltas(dataset, labels, stats, spec, frame=mean_shift(spec, dataset.points)[0])
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
@@ -323,8 +327,8 @@ def test_certify_d_local_holds_its_deltas_and_column_scratch(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_certify_d_local_builds_one_mean_shift_frame(kind, monkeypatch):
-    # The deltas and their bound read the points in one frame; each call
-    # builds it once, and passing it gives the bits of building it inside.
+    # The deltas and their bound read the points in one frame, which each
+    # call builds once.
     rng = np.random.default_rng(8)
     dataset, k = random_instance(rng, n_range=(30, 40), k_range=(3, 4))
     if kind not in (KL, ITAKURA_SAITO):
@@ -341,13 +345,6 @@ def test_certify_d_local_builds_one_mean_shift_frame(kind, monkeypatch):
     monkeypatch.setattr(verify, "mean_shift", counted)
     assert certify_d_local(dataset, labels, k, spec) == want
     assert len(calls) == 1
-    stats = cluster_stats(dataset, labels, k)
-    frame = mean_shift(spec, dataset.points)[0]
-    loss = loss_at_optimal_centers(dataset, labels, k, spec)
-    fast = _adjacent_deltas(dataset, labels, stats, spec, frame=frame)
-    assert fast.tobytes() == _adjacent_deltas(dataset, labels, stats, spec).tobytes()
-    bound = adjacent_delta_bound(dataset, spec, loss, frame=frame)
-    assert bound == adjacent_delta_bound(dataset, spec, loss)
 
 
 def test_certify_d_local_rechecks_moves_the_fast_form_ranks_apart():
@@ -356,7 +353,8 @@ def test_certify_d_local_rechecks_moves_the_fast_form_ranks_apart():
     # minimum still reports the smallest recomputed delta.
     dataset = synth_uniform_grid(13, 2, 255)
     labels = run(dataset, EngineConfig(k=6, divergence=SQE, seed=255)).final_labels
-    fast = _adjacent_deltas(dataset, labels, cluster_stats(dataset, labels, 6), SQE)
+    stats = cluster_stats(dataset, labels, 6)
+    fast = _adjacent_deltas(dataset, labels, stats, SQE, frame=mean_shift(SQE, dataset.points)[0])
     point, dst = np.unravel_index(np.argmin(fast), fast.shape)
     trial = labels.copy()
     trial[point] = dst
@@ -366,6 +364,7 @@ def test_certify_d_local_rechecks_moves_the_fast_form_ranks_apart():
     assert certify_d_local(dataset, labels, 6, SQE) == oracle
 
 
+@seed(0)
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(
     seed=st.integers(0, 10_000),
