@@ -147,7 +147,7 @@ def init_centers(
     check_domain(spec, dataset.points, "dataset", require_interior=True)
     if init == "uniform":
         chosen = rng.choice(dataset.n, size=k, replace=False)
-        return dataset.points[chosen].copy()
+        return dataset.points[chosen]
     if init != "kmeans++":
         raise ValueError(f"unknown init {init!r}")
     weights = dataset.weights
@@ -171,7 +171,7 @@ def init_centers(
                 "a positive divergence to the chosen centers"
             )
         chosen[j] = rng.choice(dataset.n, p=mass / total)
-    return dataset.points[chosen].copy()
+    return dataset.points[chosen]
 
 
 def _assign_with_divergences(

@@ -31,16 +31,18 @@ quadratic kinds hold a few (N,) arrays and KL and Itakura-Saito a few
 
 The escape steps ``c_lo_step``, ``d_lo_step`` and ``min_d_lo_step`` only
 choose a move, returned as a ``(point, destination)`` pair, or None when
-they find none. ``c_lo_step`` leaves its arguments untouched; ``d_lo_step``
-and ``min_d_lo_step`` leave all but ``divs``, which their move costs
-consume. ``engine.run`` makes the move with ``ClusterStats.move`` and
-takes the new centers from the stats, so each step gets ``divs`` computed
-at exactly the ``centers`` it is given, and drops them after the step.
-``d_lo_step`` and ``min_d_lo_step`` never empty a cluster: a singleton's
-point sits on its optimal center, so moving it out cannot lower the loss.
-A ``c_lo_step`` move that would empty one makes ``engine.run`` raise
-EmptyClusterError. Variant "pnx" is ``d_lo_step`` run by ``engine.run``
-without sweeps.
+they find none. ``c_lo_step`` sends the first tied point to its largest
+tied index, or to its smallest when it sits in the largest: the rule of
+``model.tie_move``, which also names ``certify_c_local``'s tie witness.
+``c_lo_step`` leaves its arguments untouched; ``d_lo_step`` and
+``min_d_lo_step`` leave all but ``divs``, which their move costs consume.
+``engine.run`` makes the move with ``ClusterStats.move`` and takes the new
+centers from the stats, so each step gets ``divs`` computed at exactly the
+``centers`` it is given, and drops them after the step. ``d_lo_step`` and
+``min_d_lo_step`` never empty a cluster: a singleton's point sits on its
+optimal center, so moving it out cannot lower the loss. A ``c_lo_step``
+move that would empty one makes ``engine.run`` raise EmptyClusterError.
+Variant "pnx" is ``d_lo_step`` run by ``engine.run`` without sweeps.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .model import (
     Dataset,
     check_tolerance,
     rounding_floor,
+    tie_move,
     within_tie_band,
 )
 
@@ -175,27 +178,17 @@ def c_lo_step(
     tie_tolerance: float,
     divs: np.ndarray,
 ) -> tuple[int, int] | None:
-    """Choose a cross-cluster tie to break: its point moves to the largest tied index.
+    """Choose a cross-cluster tie to break: ``model.tie_move`` of the tie band.
 
-    Scans points in index order for a nearest-center tie (at least two
-    centers within the relative tie band). Returns None when no tie
-    exists, which certifies the fixed point cannot be escaped this way.
-    It reads only ``labels`` and ``divs``; the other arguments keep the
-    signature every escape step shares.
+    The first point in index order with a nearest-center tie (at least two
+    centers within the relative tie band) moves to its largest tied index,
+    or to its smallest when it already sits in the largest. Returns None
+    when no tie exists, which certifies the fixed point cannot be escaped
+    this way. It reads only ``labels`` and ``divs``; the other arguments
+    keep the signature every escape step shares.
     """
     check_tolerance("tie_tolerance", tie_tolerance)
-    within = within_tie_band(divs, tie_tolerance)
-    candidates = np.flatnonzero(within.sum(axis=1) >= 2)
-    if candidates.size == 0:
-        return None
-    point = int(candidates[0])
-    tied = np.flatnonzero(within[point])
-    src, dst = int(tied[0]), int(tied[-1])
-    if labels[point] != src:
-        raise ValueError(
-            f"point {point} assigned to cluster {labels[point]} but its nearest tied cluster is {src}"
-        )
-    return point, dst
+    return tie_move(within_tie_band(divs, tie_tolerance), labels)
 
 
 def d_lo_step(

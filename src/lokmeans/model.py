@@ -8,9 +8,9 @@ over hard assignments P and centers C. For every divergence supported
 here the optimal center of a cluster is its weighted mean, so center
 updates never depend on the divergence choice: every center is
 ``ClusterStats.centers()`` of its cluster's sums. The escape core and the
-certificates share two definitions from here: ``within_tie_band`` (the
-tie band) and ``rounding_floor`` (the one bar a gain must clear, at any
-offset).
+certificates share three definitions from here: ``within_tie_band`` (the
+tie band), ``tie_move`` (the one move that breaks a tie) and
+``rounding_floor`` (the one bar a gain must clear, at any offset).
 """
 
 from __future__ import annotations
@@ -214,3 +214,14 @@ def within_tie_band(divs: np.ndarray, tie_tolerance: float) -> np.ndarray:
     dmin = divs.min(axis=1)
     return divs <= (dmin + tie_tolerance * (1.0 + np.abs(dmin)))[:, None]
 
+
+def tie_move(within: np.ndarray, labels: np.ndarray) -> tuple[int, int] | None:
+    """The move that breaks the first tie of the band ``within``, or None:
+    the first row with two or more tied centers goes to its largest tied
+    index, or to its smallest when it already sits in the largest."""
+    ties = np.flatnonzero(within.sum(axis=1) >= 2)
+    if ties.size == 0:
+        return None
+    point = int(ties[0])
+    tied = np.flatnonzero(within[point])
+    return point, int(tied[-1] if tied[-1] != labels[point] else tied[0])

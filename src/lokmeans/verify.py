@@ -29,6 +29,7 @@ from .model import (
     check_tolerance,
     cluster_stats,
     rounding_floor,
+    tie_move,
     weighted_sums,
     within_tie_band,
 )
@@ -226,7 +227,9 @@ def certify_c_local(
     pairwise-distinct centers. Duplicate centers make the criterion
     inapplicable, reported as not-local with a note. Centers that drift
     from the assignment's optimal ones by more than ``_CENTER_TOLERANCE``
-    (relative) raise ValueError.
+    (relative) raise ValueError. The witness of a misassigned point moves
+    it to its nearest center; that of a tie is ``model.tie_move``'s move,
+    the one ``localopt.c_lo_step`` makes.
     """
     check_tolerance("tie_tolerance", tie_tolerance)
     centers = np.asarray(centers, dtype=np.float64)
@@ -263,32 +266,21 @@ def certify_c_local(
     within = within_tie_band(divs, tie_tolerance)
     tie_count = int((within.sum(axis=1) >= 2).sum())
 
-    def full_delta(point: int, dst: int) -> float:
-        base = loss_at_optimal_centers(dataset, labels, k, spec)
-        trial = labels.copy()
-        trial[point] = dst
-        return loss_at_optimal_centers(dataset, trial, k, spec) - base
-
-    rows = np.arange(dataset.n)
-    misassigned = np.flatnonzero(~within[rows, labels])
+    misassigned = np.flatnonzero(~within[np.arange(dataset.n), labels])
     if misassigned.size:
         point = int(misassigned[0])
-        dst = int(np.argmin(divs[point]))
-        delta = full_delta(point, dst)
-        witness = MoveDelta(point, int(labels[point]), dst, delta, False)
-        return Certificate(
-            NOT_LOCAL, witness, delta, tie_count, note="assignment is not a fixed point"
-        )
-
-    if tie_count:
-        point = int(np.flatnonzero(within.sum(axis=1) >= 2)[0])
-        tied = np.flatnonzero(within[point])
-        dst = int(tied[-1]) if tied[-1] != labels[point] else int(tied[0])
-        delta = full_delta(point, dst)
-        witness = MoveDelta(point, int(labels[point]), dst, delta, False)
-        return Certificate(NOT_LOCAL, witness, delta, tie_count)
-
-    return Certificate(C_LOCAL, None, 0.0, 0)
+        move, note = (point, int(np.argmin(divs[point]))), "assignment is not a fixed point"
+    else:
+        move, note = tie_move(within, labels), ""
+    if move is None:
+        return Certificate(C_LOCAL, None, 0.0, 0)
+    point, dst = move
+    trial = labels.copy()
+    trial[point] = dst
+    base = loss_at_optimal_centers(dataset, labels, k, spec)
+    delta = loss_at_optimal_centers(dataset, trial, k, spec) - base
+    witness = MoveDelta(point, int(labels[point]), dst, delta, False)
+    return Certificate(NOT_LOCAL, witness, delta, tie_count, note=note)
 
 
 def brute_force_best(

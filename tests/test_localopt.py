@@ -252,6 +252,21 @@ def test_c_lo_step_moves_to_largest_tied_index():
     np.testing.assert_allclose(centers[2], [0.0, 0.5], atol=1e-12)
 
 
+def test_c_lo_step_and_certificate_break_a_tie_on_the_largest_index_alike():
+    # Point 2 (x = 0) ties both centers and sits on the larger index, which
+    # the sweep never produces: it goes to the smaller one, the move the
+    # certificate names.
+    dataset = Dataset(np.array([[-3.0], [-1.0], [0.0], [4.0]]), np.ones(4))
+    labels = np.array([0, 0, 1, 1])
+    stats, centers = _state(dataset, labels, 2)
+    np.testing.assert_array_equal(centers, [[-2.0], [2.0]])
+    assert _choose(c_lo_step, dataset, labels, stats, centers, SQE) == (2, 0)
+    cert = certify_c_local(dataset, labels, centers, SQE)
+    assert (cert.kind, cert.note, cert.tie_count) == ("not-local", "", 1)
+    assert (cert.witness.point, cert.witness.from_cluster, cert.witness.to_cluster) == (2, 1, 0)
+    assert cert.witness.delta == pytest.approx(-16.0 / 3.0, abs=1e-12)
+
+
 def test_d_lo_step_applies_first_improving_move():
     dataset = Dataset(np.array([[0.0], [1.0], [10.0], [11.0]]), np.ones(4))
     labels = np.array([0, 1, 0, 1])
@@ -609,6 +624,38 @@ def test_escapes_end_certified_on_tie_heavy_grids(seed, n, d, k, kind, init):
             assert cert.kind == "c-local"
         else:
             assert certify_d_local(dataset, report.final_labels, k, spec).kind == "d-local", variant
+
+
+@seed(0)
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(20, 80),
+    d=st.sampled_from((1, 2)),
+    k=st.integers(2, 10),
+    kind=st.sampled_from(ALL_KINDS),
+    init=st.sampled_from(("uniform", "kmeans++")),
+    offset=st.sampled_from((0.0, 1e4)),
+)
+def test_c_lo_step_makes_the_move_the_c_local_certificate_names(seed, n, d, k, kind, init, offset):
+    # At a plain K-means fixed point of a tie-heavy grid, a tie witness of
+    # the certificate is the move c_lo_step makes, and a c-local verdict is
+    # a state c_lo_step declines. Such fixed points seldom hold a tie: 8 of
+    # these 500 examples do, most of them Itakura-Saito at offset 1e4,
+    # whose tie band is wide there.
+    grid = synth_uniform_grid(n, d, seed)
+    dataset = Dataset(grid.points + offset, grid.weights)
+    k = min(k, dataset.n)
+    spec = spec_for(kind, np.random.default_rng(seed), d)
+    report = run(dataset, EngineConfig(k=k, divergence=spec, init=init, seed=seed))
+    labels, centers = report.final_labels, report.final_centers
+    cert = certify_c_local(dataset, labels, centers, spec)
+    divs = pairwise(spec, dataset.points, centers)
+    move = _choose(c_lo_step, dataset, labels, cluster_stats(dataset, labels, k), centers, spec, divs)
+    if cert.kind == "c-local":
+        assert move is None
+    elif cert.witness is not None and not cert.note:
+        assert move == (cert.witness.point, cert.witness.to_cluster)
 
 
 def test_pnx_run_escapes_the_counterexample(counterexample):
