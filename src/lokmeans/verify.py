@@ -10,7 +10,7 @@ information identity, a different formula from the engine's move costs,
 and recomputes the full loss for the moves that decide its verdict;
 ``certify_c_local`` checks the conditions under which a fixed point of the
 assignment sweep is optimal against continuous perturbations: no cross-
-cluster nearest-center ties, no empty clusters, pairwise-distinct centers.
+cluster nearest-center ties, distinct centers; both raise on an empty cluster.
 """
 
 from __future__ import annotations
@@ -99,6 +99,18 @@ def _losses_at_optimal_centers(
     centers[occupied] = coord_sum[occupied] / weight_sum[occupied, None]
     per_point = rowwise(spec, dataset.points, centers[slots].reshape(b, n, -1))
     return (per_point[:, None, :] @ dataset.weights[:, None])[:, 0, 0]
+
+
+def _scored_move(
+    dataset: Dataset, labels: np.ndarray, stats: ClusterStats, spec: DivergenceSpec,
+    base: float, point: int, dst: int,
+) -> MoveDelta:
+    """The witness moving ``point`` to ``dst``: its F less ``base``, the F of ``labels``."""
+    trial = labels.copy()
+    trial[point] = dst
+    delta = loss_at_optimal_centers(dataset, trial, stats.k, spec) - base
+    src = int(labels[point])
+    return MoveDelta(int(point), src, int(dst), float(delta), bool(stats.member_count[src] == 1))
 
 
 def _adjacent_deltas(
@@ -197,20 +209,14 @@ def certify_d_local(
     if finite.any():
         beta = adjacent_delta_bound(dataset, spec, base, frame=frame)
         recheck |= fast <= np.min(fast, where=finite, initial=np.inf) + 2.0 * beta
-    worst = np.inf
-    worst_move: tuple[int, int, int] | None = None
+    worst, witness = np.inf, None
     for point, dst in np.argwhere(recheck):
-        trial = labels.copy()
-        trial[point] = dst
-        delta = loss_at_optimal_centers(dataset, trial, k, spec) - base
-        if delta < worst:
-            worst = delta
-            worst_move = (int(point), int(labels[point]), int(dst))
+        move = _scored_move(dataset, labels, stats, spec, base, point, dst)
+        if move.delta < worst:  # the first smallest; never a NaN
+            worst, witness = move.delta, move
     if worst >= -rounding_floor(base):
         return Certificate(D_LOCAL, None, float(worst), 0)
-    point, src, dst = worst_move
-    witness = MoveDelta(point, src, dst, float(worst), bool(stats.member_count[src] == 1))
-    return Certificate(NOT_LOCAL, witness, float(worst), 0)
+    return Certificate(NOT_LOCAL, witness, worst, 0)
 
 
 def certify_c_local(
@@ -222,14 +228,14 @@ def certify_c_local(
 ) -> Certificate:
     """Check the conditions for optimality against continuous perturbations.
 
-    The assignment must be a fixed point (each point at a nearest center),
-    with no cross-cluster ties within the band, no empty clusters, and
-    pairwise-distinct centers. Duplicate centers make the criterion
-    inapplicable, reported as not-local with a note. Centers that drift
-    from the assignment's optimal ones by more than ``_CENTER_TOLERANCE``
-    (relative) raise ValueError. The witness of a misassigned point moves
-    it to its nearest center; that of a tie is ``model.tie_move``'s move,
-    the one ``localopt.c_lo_step`` makes.
+    In order: an empty cluster raises EmptyClusterError, and centers that
+    drift from the assignment's optimal ones by more than
+    ``_CENTER_TOLERANCE`` (relative) raise ValueError. Duplicate centers
+    make the criterion inapplicable, reported as not-local with a note.
+    The assignment must then be a fixed point (each point at a nearest
+    center) with no cross-cluster ties within the band. The witness of a
+    misassigned point moves it to its nearest center; that of a tie is
+    ``model.tie_move``'s move, the one ``localopt.c_lo_step`` makes.
     """
     check_tolerance("tie_tolerance", tie_tolerance)
     centers = np.asarray(centers, dtype=np.float64)
@@ -241,12 +247,6 @@ def certify_c_local(
     labels = check_labels(labels, dataset.n, k)
     stats = cluster_stats(dataset, labels, k)
 
-    empty = np.flatnonzero(stats.member_count == 0)
-    if empty.size:
-        return Certificate(
-            NOT_LOCAL, None, 0.0, 0, note=f"cluster {int(empty[0])} is empty"
-        )
-
     optimal = stats.centers()
     drift = np.abs(centers - optimal).max()
     if drift > _CENTER_TOLERANCE * (1.0 + np.abs(optimal).max()):
@@ -254,13 +254,14 @@ def certify_c_local(
             f"centers are not optimal for the assignment (max drift {drift:.3e})"
         )
 
-    # Every pair a < b at once; argwhere reports the first in row-major order.
-    gap = np.abs(centers[:, None, :] - centers[None, :, :]).max(axis=2)
-    shared = np.argwhere(np.triu(gap <= _DUPLICATE_CENTER_TOLERANCE, 1))
-    if shared.size:
-        a, b = shared[0]
-        note = f"clusters {a} and {b} share a center; criterion inapplicable"
-        return Certificate(NOT_LOCAL, None, 0.0, 0, note=note)
+    # Each center against the later ones, so the scratch is (K, d) and the
+    # first shared pair a < b in row-major order is reported.
+    for a in range(k - 1):
+        gap = np.abs(centers[a + 1 :] - centers[a]).max(axis=1)
+        shared = np.flatnonzero(gap <= _DUPLICATE_CENTER_TOLERANCE)
+        if shared.size:
+            note = f"clusters {a} and {a + 1 + shared[0]} share a center; criterion inapplicable"
+            return Certificate(NOT_LOCAL, None, 0.0, 0, note=note)
 
     divs = pairwise(spec, dataset.points, centers)
     within = within_tie_band(divs, tie_tolerance)
@@ -274,13 +275,9 @@ def certify_c_local(
         move, note = tie_move(within, labels), ""
     if move is None:
         return Certificate(C_LOCAL, None, 0.0, 0)
-    point, dst = move
-    trial = labels.copy()
-    trial[point] = dst
     base = loss_at_optimal_centers(dataset, labels, k, spec)
-    delta = loss_at_optimal_centers(dataset, trial, k, spec) - base
-    witness = MoveDelta(point, int(labels[point]), dst, delta, False)
-    return Certificate(NOT_LOCAL, witness, delta, tie_count, note=note)
+    witness = _scored_move(dataset, labels, stats, spec, base, *move)
+    return Certificate(NOT_LOCAL, witness, witness.delta, tie_count, note=note)
 
 
 def brute_force_best(
@@ -288,19 +285,21 @@ def brute_force_best(
 ) -> tuple[np.ndarray, float]:
     """Global optimum by scoring every partition into k nonempty clusters once.
 
-    Guarded by BRUTE_FORCE_LIMIT on k**n. Restricting to partitions with
-    no empty cluster is lossless: moving a point into an empty cluster
-    never raises the loss, so some optimum uses all clusters. Each
-    partition is scored in one labeling, its labels numbered in order of
-    first appearance: the first label is 0 and each label exceeds the
+    Needs 1 <= k <= n, and k**n within BRUTE_FORCE_LIMIT. Restricting to
+    partitions with no empty cluster is lossless: moving a point into an
+    empty cluster never raises the loss, so some optimum uses all clusters.
+    Each partition is scored in one labeling, its labels numbered in order
+    of first appearance: the first label is 0 and each label exceeds the
     largest before it by at most 1. Labelings are enumerated in
     lexicographic order and the first one of least loss is returned. A
     relabeling leaves the loss unchanged to the bit (each cluster sums its
     points in point order), and the lexicographically first labeling of a
-    partition is its numbering by first appearance, so the result is that
-    of scanning every labeling with no empty cluster. The loss returned is
+    partition is its numbering by first appearance, so the result is that of
+    scanning every labeling with no empty cluster. The loss returned is
     ``loss_at_optimal_centers`` of the labels returned, to the bit.
     """
+    if not 1 <= k <= dataset.n:
+        raise ValueError(f"brute force needs 1 <= k <= n, got k = {k}, n = {dataset.n}")
     check_domain(spec, dataset.points, "points")
     total = k**dataset.n
     if total > BRUTE_FORCE_LIMIT:

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import gc
+import importlib
 import json
 import re
 import subprocess
@@ -413,6 +414,20 @@ def test_sweep_out_writes_one_csv_file(tmp_path, capsys):
     assert lines[1] == "n\\k,2,3"
 
 
+@pytest.mark.parametrize(
+    "grids, message",
+    [
+        (["--n-grid", "1,x", "--k-grid", "2"], "--n-grid expects comma-separated integers, got '1,x'"),
+        (["--n-grid", "20", "--k-grid", ","], "--k-grid must list at least one value"),
+    ],
+)
+def test_sweep_rejects_a_malformed_grid(grids, message, capsys):
+    assert main(["sweep", *grids]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_rejects_plain_variant(capsys):
     code = main(
         ["sweep", "--n-grid", "20", "--k-grid", "2", "--variant", "none"]
@@ -564,6 +579,32 @@ def test_readme_documents_every_subcommand_flag():
         for option in action.option_strings
     }
     assert accepted - {"-h", "--help"} == set(re.findall(r"--[a-z][a-z0-9-]*", section))
+
+
+def test_readme_python_api_example_prints_what_its_comments_state(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(example, {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("5.1666")
+    assert lines[1] == "[0 0 1 1 1]"
+    assert lines[-1] == "d-local"
+
+
+def test_console_script_is_cli_main(monkeypatch, capsys):
+    # The installed `lokmeans` command calls the [project.scripts] target
+    # with no arguments, so it reads sys.argv.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, name = scripts["lokmeans"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is main
+    monkeypatch.setattr(sys, "argv", ["lokmeans", "counterexample", "--json"])
+    assert entry() == 0
+    payload, _ = _json_output(capsys)
+    assert payload["baseline_loss"] == 8.5
 
 
 def test_one_process_parses_each_command_as_a_fresh_process(tmp_path, capsys):

@@ -57,6 +57,17 @@ def test_run_bench_single_replicate_summaries():
     assert [none[metric] for metric in experiments.IMPROVEMENT_METRICS] == [0.0] * 4
 
 
+def test_run_sweep_drops_replicates_with_fewer_distinct_points_than_k():
+    # d = 1 grids hold at most 10 distinct points, so no replicate can
+    # host 12 clusters and that column is NaN; 3 clusters always fit.
+    config = EngineConfig(k=2, divergence=SQE, variant="d-lo", seed=0)
+    matrices = experiments.run_sweep(config, [40], [12, 3], 1, 4)
+    assert list(matrices) == experiments.IMPROVEMENT_METRICS
+    for matrix in matrices.values():
+        assert np.isnan(matrix[:, 0]).all()
+        assert np.isfinite(matrix[:, 1]).all()
+
+
 def test_certify_labels_finds_an_empty_cluster_without_memory_per_label():
     # k is the largest label plus one, as `lokmeans verify` takes it: the
     # empty cluster must be found before any (k, d) statistics are built.

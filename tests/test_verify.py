@@ -32,9 +32,10 @@ from lokmeans import (
 from lokmeans.data_io import synth_uniform_grid
 from lokmeans.divergence import ITAKURA_SAITO, KL, SQUARED_MAHALANOBIS, mean_shift, pairwise
 from lokmeans.engine import init_centers
-from lokmeans.localopt import move_cost_matrix
+from lokmeans.localopt import c_lo_step, move_cost_matrix
 from lokmeans.model import EmptyClusterError, cluster_stats, rounding_floor
 from lokmeans.verify import (
+    MoveDelta,
     _adjacent_deltas,
     _losses_at_optimal_centers,
     adjacent_delta_bound,
@@ -135,13 +136,67 @@ def test_certify_c_local_accepts_the_escaped_state(counterexample):
     assert cert.witness is None
 
 
-def test_certify_c_local_reports_empty_cluster():
+def test_certificates_raise_on_an_empty_cluster():
+    # Neither criterion applies without k non-empty clusters; both
+    # certificates raise what ClusterStats.centers() and engine.run raise.
     dataset = Dataset(np.array([[0.0], [1.0]]), np.ones(2))
-    cert = certify_c_local(
-        dataset, np.zeros(2, dtype=np.int64), np.array([[0.5], [9.0]]), SQE
-    )
+    labels = np.zeros(2, dtype=np.int64)
+    with pytest.raises(EmptyClusterError, match="cluster 1 is empty"):
+        certify_c_local(dataset, labels, np.array([[0.5], [9.0]]), SQE)
+    with pytest.raises(EmptyClusterError, match="cluster 1 is empty"):
+        certify_d_local(dataset, labels, 2, SQE)
+
+
+def test_certify_c_local_tie_witness_says_it_empties_a_singleton():
+    # A wide tie band ties point 0, alone in cluster 0, to center 1: the
+    # witness is c_lo_step's move, and it empties its source cluster.
+    dataset = Dataset(np.array([[0.0], [3.0], [4.0], [5.0]]), np.ones(4))
+    labels = np.array([0, 1, 1, 1])
+    stats = cluster_stats(dataset, labels, 2)
+    centers = stats.centers()
+    np.testing.assert_array_equal(centers, [[0.0], [4.0]])
+    divs = pairwise(SQE, dataset.points, centers)
+    assert c_lo_step(dataset, labels, stats, centers, SQE, 100.0, divs) == (0, 1)
+    cert = certify_c_local(dataset, labels, centers, SQE, tie_tolerance=100.0)
     assert cert.kind == "not-local"
-    assert "empty" in cert.note
+    assert cert.witness == MoveDelta(0, 0, 1, cert.worst_delta, True)
+    assert cert.worst_delta == pytest.approx(12.0)
+
+
+@seed(0)
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(5, 30),
+    k=st.integers(2, 9),
+    singletons=st.integers(0, 8),
+    kind=st.sampled_from(ALL_KINDS),
+    offset=st.sampled_from((0.0, 1e4)),
+)
+def test_every_witness_says_whether_it_empties_its_source(seed, n, k, singletons, kind, offset):
+    # Itakura-Saito far from the origin ties a singleton's point to other
+    # centers in the absolute part of the tie band, so c-local witnesses
+    # move singletons there as d-local ones do elsewhere.
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    d = 1 + seed % 2
+    points = np.exp(rng.normal(size=(n, d))) + offset
+    dataset = Dataset(points, rng.integers(1, 4, size=n).astype(float))
+    spec = spec_for(kind, rng, d)
+    labelings = [
+        run(dataset, EngineConfig(k=k, divergence=spec, seed=seed, max_iterations=50)).final_labels,
+        labels_with_singletons(rng, n, k, min(singletons, k - 1)),
+    ]
+    for labels in labelings:
+        stats = cluster_stats(dataset, labels, k)
+        for cert in (
+            certify_c_local(dataset, labels, stats.centers(), spec),
+            certify_d_local(dataset, labels, k, spec),
+        ):
+            move = cert.witness
+            if move is not None:
+                assert move.from_cluster == labels[move.point] != move.to_cluster
+                assert move.source_empties == (stats.member_count[move.from_cluster] == 1)
 
 
 def test_certify_c_local_rejects_stale_centers(counterexample):
@@ -176,6 +231,26 @@ def test_certify_c_local_flags_duplicate_centers():
     np.testing.assert_array_equal(centers, [[2.0], [12.0], [12.0], [2.0]])
     cert = certify_c_local(dataset, labels, centers, SQE)
     assert cert.note == "clusters 0 and 3 share a center; criterion inapplicable"
+
+
+def test_certify_c_local_checks_duplicate_centers_in_center_scratch():
+    # Figures for numpy 2.4 at (N, K, d) = (256, 128, 32): comparing each
+    # center with the later ones, the call peaks at 0.64 MB, in its (N, K)
+    # divergences; a (K, K, d) broadcast of all center differences, 4.2 MB
+    # an array, peaked at 8.5 MB.
+    rng = np.random.default_rng(11)
+    n, k, d = 256, 128, 32
+    dataset = Dataset(rng.normal(size=(n, d)), np.ones(n))
+    labels = np.arange(n) % k
+    centers = cluster_stats(dataset, labels, k).centers()
+    certify_c_local(dataset, labels, centers, SQE)
+    tracemalloc.start()
+    try:
+        certify_c_local(dataset, labels, centers, SQE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000, peak
 
 
 def test_certify_c_local_rejects_centers_of_another_dimension():
@@ -501,6 +576,14 @@ def test_brute_force_respects_enumeration_limit():
     dataset = Dataset(points, np.ones(24))
     with pytest.raises(ValueError, match="enumeration limit"):
         brute_force_best(dataset, 2, SQE)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_brute_force_needs_one_to_n_clusters(k):
+    # No partition of 3 points into 0 or 4 nonempty clusters exists.
+    dataset = Dataset(np.array([[0.0], [1.0], [2.0]]), np.ones(3))
+    with pytest.raises(ValueError, match=f"got k = {k}, n = 3"):
+        brute_force_best(dataset, k, SQE)
 
 
 def test_brute_force_lower_bounds_engine_runs():
