@@ -40,7 +40,7 @@ from .model import (
     Dataset,
     check_tolerance,
     cluster_stats,
-    clustering_loss,
+    unchecked_clustering_loss,
     within_tie_band,
 )
 
@@ -245,10 +245,15 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
     coincide in it raise ValueError. ``cluster_stats`` forms
     the weighted points on each call, so no (d, N) copy is held through the
     escape steps. Only a fixed point's escape step reads a sweep's (N, K)
-    divergences, and ``d_lo_step`` and ``min_d_lo_step`` write their move
-    costs over them, so an escape step holds one (N, K) array. A sweep that
-    changes the labels frees them before the stats pass, and every
-    iteration frees them, read or consumed, before the loss pass.
+    divergences. ``d_lo_step`` and ``min_d_lo_step`` write over them: KL
+    and Itakura-Saito their move costs, the quadratic kinds +inf at each
+    point's own cluster and then the costs of the points their screen
+    keeps, scored in blocks of at most N entries. So an escape step holds
+    one (N, K) array and scratch of N-long arrays. A sweep that changes
+    the labels frees them before the stats pass, and every iteration frees
+    them, read or consumed, before the loss pass. That pass checks the
+    centers' domain and then takes ``unchecked_clustering_loss``: the
+    labels are the run's own.
     """
     validate_run_inputs(dataset, config)
     start = time.perf_counter()
@@ -314,7 +319,10 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
             invocations += 1
         # Free the (N, K) divergences before the loss pass: the frame costs an (N, d) copy.
         divs = None
-        trajectory.append(clustering_loss(dataset, labels, centers + origin, spec, check_points=False))
+        reported = centers + origin
+        check_domain(spec, reported, "centers", require_interior=True)
+        trajectory.append(unchecked_clustering_loss(dataset, labels, reported, spec))
+        del reported  # not held through the next sweep, where a run peaks
 
     return RunReport(
         final_labels=labels,

@@ -164,24 +164,27 @@ def clustering_loss(
     labels: np.ndarray,
     centers: np.ndarray,
     spec: DivergenceSpec,
-    *,
-    check_points: bool = True,
 ) -> float:
-    """Exact weighted sum of divergences from each point to its center.
-
-    ``check_points=False`` skips only the O(N d) domain check of the
-    points, for a caller that has already checked this dataset against
-    ``spec`` (``engine.run`` does once per run); the centers are always
-    checked.
-    """
+    """Exact weighted sum of divergences from each point to its center:
+    the argument checks, then ``unchecked_clustering_loss``."""
     centers = np.asarray(centers, dtype=np.float64)
     labels = check_labels(labels, dataset.n, centers.shape[0])
     if centers.ndim != 2 or centers.shape[1] != dataset.dim:
         raise ValueError(f"centers shape {centers.shape} does not match dimension {dataset.dim}")
-    if check_points:
-        check_domain(spec, dataset.points, "points")
+    check_domain(spec, dataset.points, "points")
     check_domain(spec, centers, "centers", require_interior=True)
-    gathered = centers[labels]
+    return unchecked_clustering_loss(dataset, labels, centers, spec)
+
+
+def unchecked_clustering_loss(
+    dataset: Dataset, labels: np.ndarray, centers: np.ndarray, spec: DivergenceSpec
+) -> float:
+    """``clustering_loss`` without its checks, for a caller that holds
+    int64 labels in range and float64 (K, d) centers, with the points and
+    centers inside the divergence's domain (``engine.run`` checks its
+    centers each iteration).
+    """
+    gathered = np.take(centers, labels, axis=0)
     if spec.quadratic:
         # rowwise's phi(x - y), with x - y written over the gathered centers.
         per_point = phi(spec, np.subtract(dataset.points, gathered, out=gathered))

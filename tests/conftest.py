@@ -18,7 +18,7 @@ from lokmeans.divergence import (
     rowwise,
 )
 from lokmeans.data_io import CsvFormatError, RawTable, counterexample_instance
-from lokmeans.localopt import shift_cost
+from lokmeans.localopt import move_cost_matrix, shift_cost
 from lokmeans.model import (
     EmptyClusterError,
     cluster_stats,
@@ -127,6 +127,28 @@ def reference_bregman_move_costs(dataset, labels, stats, centers, spec, divs):
     ).T
     delta[rows, labels] = np.inf
     return delta
+
+
+def reference_escape_moves(dataset, labels, stats, centers, spec, divs):
+    """What ``d_lo_step`` and ``min_d_lo_step`` chose when they scored
+    every row: the full ``move_cost_matrix`` with singleton rows at +inf,
+    the rounding floor of the loss, the first improving move in point-major
+    order and the move of smallest cost (or None where it does not clear
+    the floor). ``divs`` is left as it is. The screened steps must choose
+    the same moves."""
+    bar = rounding_floor(float(dataset.weights @ divs[np.arange(dataset.n), labels]))
+    delta = move_cost_matrix(dataset, labels, stats, centers, spec, np.copy(divs))
+    delta[stats.member_count[labels] == 1] = np.inf
+    improving = delta < -bar
+    gains = improving.any(axis=1)
+    first = None
+    if gains.any():
+        point = int(np.argmax(gains))
+        first = (point, int(np.argmax(improving[point])))
+    point = int(np.argmin(delta.min(axis=1)))
+    dst = int(np.argmin(delta[point]))
+    best = (point, dst) if delta[point, dst] < -bar else None
+    return delta, bar, first, best
 
 
 def reference_adjacent_deltas(dataset, labels, stats, spec):

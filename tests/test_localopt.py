@@ -16,6 +16,7 @@ from conftest import (
     random_instance,
     random_spd,
     reference_bregman_move_costs,
+    reference_escape_moves,
     reference_quadratic_move_costs,
     spec_for,
 )
@@ -28,8 +29,16 @@ from lokmeans import (
     run,
 )
 from lokmeans.data_io import synth_uniform_grid
-from lokmeans.divergence import ITAKURA_SAITO, KL, SQUARED_EUCLIDEAN, SQUARED_MAHALANOBIS, pairwise
+from lokmeans.divergence import (
+    ITAKURA_SAITO,
+    KL,
+    SQUARED_EUCLIDEAN,
+    SQUARED_MAHALANOBIS,
+    pairwise,
+    point_terms,
+)
 from lokmeans.localopt import (
+    _move_costs_and_bar,
     c_lo_step,
     d_lo_step,
     min_d_lo_step,
@@ -415,6 +424,109 @@ def test_bregman_move_costs_are_the_bits_of_the_broadcast_form(
     # quadratic kinds' output always had.
     assert got.flags.f_contiguous, got.strides
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@seed(0)
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(10, 120),
+    d=st.integers(1, 3),
+    k=st.integers(2, 12),
+    kind=st.sampled_from((SQUARED_EUCLIDEAN, SQUARED_MAHALANOBIS)),
+    grid=st.booleans(),
+    offset=st.sampled_from((0.0, 1e4, 1e5)),
+    fixed=st.booleans(),
+)
+def test_screen_keeps_every_row_with_an_improving_move(seed, n, d, k, kind, grid, offset, fixed):
+    # In the frame engine.run gives the steps: at a K-means fixed point or
+    # on a random labeling, of tie-heavy grids or of N(0,1) points. Every
+    # row whose full-matrix costs hold one below the floor must survive
+    # the screen, the rows that survive must be scored to the bits of the
+    # full matrix, and each step must choose the full matrix's move.
+    rng = np.random.default_rng(seed)
+    if grid:
+        base = synth_uniform_grid(n, d, seed)
+    else:
+        base = Dataset(rng.normal(size=(n, d)), rng.integers(1, 4, size=n).astype(float))
+    raw = Dataset(base.points + offset, base.weights)
+    k = min(k, raw.n)
+    spec = spec_for(kind, rng, d)
+    if fixed:
+        labels = run(raw, EngineConfig(k=k, divergence=spec, seed=seed)).final_labels
+    else:
+        labels = labels_with_singletons(rng, raw.n, k, 0)
+    terms = point_terms(spec, raw.points)
+    frame = Dataset(terms.points, raw.weights)
+    stats, centers = _state(frame, labels, k)
+    divs = pairwise(spec, frame.points, centers, terms=terms)
+    delta, bar, first, best = reference_escape_moves(frame, labels, stats, centers, spec, divs)
+
+    rows, costs, got_bar = _move_costs_and_bar(frame, labels, stats, centers, spec, np.copy(divs))
+    assert got_bar == bar
+    assert (np.diff(rows) > 0).all()
+    assert np.isin(np.flatnonzero((delta < -bar).any(axis=1)), rows).all()
+    want = np.ascontiguousarray(delta[rows])
+    assert np.ascontiguousarray(costs).tobytes() == want.tobytes()
+    assert _choose(d_lo_step, frame, labels, stats, centers, spec, np.copy(divs)) == first
+    assert _choose(min_d_lo_step, frame, labels, stats, centers, spec, np.copy(divs)) == best
+
+
+def test_screen_keeps_a_row_whose_bound_rounds_above_its_cost():
+    # Hand-built divergences: point 0 may move to singleton cluster 2 of
+    # weight W2, one ulp above the smallest weight W1 of singleton cluster
+    # 1. In exact arithmetic the screen's bound, Hartigan's factor at W1
+    # times point 0's nearest divergence, is below that move's cost, but
+    # computed it rounds two ulps above it, and the bar lies between the
+    # two: the move clears the floor and only _SCREEN_MARGIN keeps its
+    # row. Found by a search over w, W1 and the nearest divergence.
+    w, w1 = 0.9218425750732422, 7.865847371433611
+    w2 = float(np.nextafter(w1, np.inf))
+    nearest, own, other = 1.6855419844806947, 1.366628305306624, 0.9999991455419909
+    assert (w1 * w / (w1 + w)) * nearest > (w2 * w / (w2 + w)) * nearest
+    dataset = Dataset(np.arange(4.0)[:, None], np.array([w, w2 + 1.0, w1, w2]))
+    labels = np.array([0, 0, 1, 2])
+    stats = cluster_stats(dataset, labels, 3)
+    centers = np.zeros((3, 1))  # the quadratic costs read only the divergences
+    far = 1e3
+    divs = np.array(
+        [[own, far, nearest], [other, far, far], [far, 0.0, far], [far, far, 0.0]]
+    )
+    delta, bar, first, best = reference_escape_moves(dataset, labels, stats, centers, SQE, divs)
+    assert first == best == (0, 2)
+    assert delta[0, 2] < -bar < delta[0, 2] + 1e-15
+    rows, costs, _ = _move_costs_and_bar(dataset, labels, stats, centers, SQE, np.copy(divs))
+    assert rows.tolist() == [0]
+    assert costs.tobytes() == delta[:1].tobytes()
+    for step in (d_lo_step, min_d_lo_step):
+        assert _choose(step, dataset, labels, stats, centers, SQE, np.copy(divs)) == (0, 2)
+
+
+def test_screened_step_holds_column_scratch_when_most_rows_are_kept():
+    # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8), whose (N, K)
+    # matrix takes 128 KB and an (N,) float column 8 KB. On a random
+    # labeling 944 rows pass the screen; scoring them in blocks of at most
+    # N entries over the front rows of the divergences peaks at 85 KB, and
+    # the full move-cost matrix at 58 KB. Scoring every kept row in one
+    # (rows, K) copy with its factor and sum scratch peaked at 599 KB.
+    rng = np.random.default_rng(5)
+    n, k, d = 1000, 16, 8
+    dataset = Dataset(rng.normal(size=(n, d)), rng.integers(1, 4, size=n).astype(float))
+    labels = np.arange(n) % k
+    stats, centers = _state(dataset, labels, k)
+    divs = pairwise(SQE, dataset.points, centers)
+    rows, _, _ = _move_costs_and_bar(dataset, labels, stats, centers, SQE, np.copy(divs))
+    assert rows.size > 0.9 * n
+    for step in (d_lo_step, min_d_lo_step):
+        _choose(step, dataset, labels, stats, centers, SQE, np.copy(divs))
+        scratch = np.copy(divs)
+        tracemalloc.start()
+        try:
+            _choose(step, dataset, labels, stats, centers, SQE, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * n, (step.__name__, peak)
 
 
 def test_quadratic_move_cost_matrix_holds_its_output_and_column_scratch():

@@ -170,22 +170,11 @@ def test_clustering_loss_validates_inputs(counterexample):
         clustering_loss(dataset, KMEANS_LABELS, centers[:, :0], SQE)
     kl = DivergenceSpec.kl()
     positive = Dataset(np.array([[1.0], [2.0]]), np.ones(2))
-    with pytest.raises(DomainError):
-        clustering_loss(positive, np.array([0, 1]), np.array([[1.0], [0.0]]), kl)
-
-
-def test_clustering_loss_can_skip_only_the_points_check():
-    kl = DivergenceSpec.kl()
-    positive = Dataset(np.array([[1.0], [2.0]]), np.ones(2))
-    labels, centers = np.array([0, 1]), np.array([[1.5], [2.0]])
-    assert clustering_loss(positive, labels, centers, kl, check_points=False) == clustering_loss(
-        positive, labels, centers, kl
-    )
     with pytest.raises(DomainError, match="centers"):
-        clustering_loss(positive, labels, np.array([[1.0], [0.0]]), kl, check_points=False)
+        clustering_loss(positive, np.array([0, 1]), np.array([[1.0], [0.0]]), kl)
     outside = Dataset(np.array([[-1.0], [2.0]]), np.ones(2))
     with pytest.raises(DomainError, match="points"):
-        clustering_loss(outside, labels, centers, kl)
+        clustering_loss(outside, np.array([0, 1]), np.array([[1.5], [2.0]]), kl)
 
 
 def test_dataset_validation():
