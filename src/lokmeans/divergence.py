@@ -141,13 +141,21 @@ def rowwise(spec: DivergenceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if spec.quadratic:
         return phi(spec, x - y)
+    # KL holds one float and one boolean array of the broadcast shape,
+    # Itakura-Saito two float arrays: each step is written over the last.
     if spec.kind == KL:
         x, y = np.broadcast_arrays(x, y)
         positive = x > 0.0
-        logs = np.where(positive, x * np.log(np.where(positive, x, 1.0) / y), 0.0)
+        logs = np.where(positive, x, 1.0)
+        np.divide(logs, y, out=logs)
+        np.log(logs, out=logs)
+        np.multiply(x, logs, out=logs)
+        np.copyto(logs, 0.0, where=np.logical_not(positive, out=positive))
         return logs.sum(axis=-1) - x.sum(axis=-1) + y.sum(axis=-1)
     ratio = x / y
-    return (ratio - np.log(ratio) - 1.0).sum(axis=-1)
+    np.subtract(ratio, np.log(ratio), out=ratio)
+    ratio -= 1.0
+    return ratio.sum(axis=-1)
 
 
 def phi(spec: DivergenceSpec, x: np.ndarray) -> np.ndarray:
@@ -276,6 +284,14 @@ def pairwise(
     else:
         out = (1.0 / c) @ terms.operand.T
         col = np.log(c).sum(axis=1)
-    out += terms.row[None, :]
-    out += col[:, None]
+    # numpy (2.4 here) copies a broadcast operand through an iteration
+    # buffer of ``np.getbufsize()`` elements, 64 KB of float64, when the
+    # rows are at most half that long. With a 16-element buffer the two
+    # adds read each row in place: the same sums, no buffer, less time.
+    size = np.setbufsize(16)
+    try:
+        out += terms.row[None, :]
+        out += col[:, None]
+    finally:
+        np.setbufsize(size)
     return np.maximum(out, 0.0, out=out).T

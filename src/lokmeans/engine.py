@@ -182,9 +182,23 @@ def _assign_with_divergences(
     *,
     terms: PointTerms | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-center labels (smallest index within the tie band) and the divergences."""
+    """Nearest-center labels (smallest index within the tie band) and the divergences.
+
+    Besides the (N, K) divergences, the sweep holds the (K, N) band, in
+    the narrowest unsigned type that holds K, and (N,) arrays. Center b's
+    row of the band is scaled to rank K - b in place, so the largest rank
+    of a column is ``K -`` its smallest in-band index: one contiguous max
+    over the centers, where an argmax over the center-major band would
+    copy it transposed. A row with no center in its band (a NaN
+    divergence) gets label 0, as argmax gives.
+    """
     divs = pairwise(spec, dataset.points, centers, terms=terms)
-    labels = np.argmax(within_tie_band(divs, tie_tolerance), axis=1).astype(np.int64)
+    k = divs.shape[1]
+    ranks = within_tie_band(divs, tie_tolerance, np.min_scalar_type(k)).T
+    np.multiply(ranks, np.arange(k, 0, -1, dtype=ranks.dtype)[:, None], out=ranks)
+    labels = ranks.max(axis=0).astype(np.int64)
+    np.subtract(k, labels, out=labels)
+    labels[labels == k] = 0
     return labels, divs
 
 
@@ -242,9 +256,11 @@ def run(dataset: Dataset, config: EngineConfig) -> RunReport:
     that every call shares; for squared Euclidean the frame's points are
     also that side's GEMM operand. Initial centers enter the frame,
     reported centers and trajectory losses leave it, and points that
-    coincide in it raise ValueError. ``cluster_stats`` forms
-    the weighted points on each call, so no (d, N) copy is held through the
-    escape steps. Only a fixed point's escape step reads a sweep's (N, K)
+    coincide in it raise ValueError. Besides the frame and one (N, K)
+    divergence matrix, no phase holds a matrix-sized array: the sweep adds
+    its (K, N) band of K N bytes (``_assign_with_divergences``), and
+    ``cluster_stats`` forms the weighted points one (N,) column at a time.
+    Only a fixed point's escape step reads a sweep's (N, K)
     divergences. ``d_lo_step`` and ``min_d_lo_step`` write over them: KL
     and Itakura-Saito their move costs, the quadratic kinds +inf at each
     point's own cluster and then the costs of the points their screen

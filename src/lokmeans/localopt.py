@@ -21,13 +21,13 @@ Hartigan's form (Telgarsky & Vattani, *Hartigan's Method*, AISTATS 2010)
     delta = w W_b / (W_b + w) D(x_g, c_b) - w W_a / (W_a - w) D(x_g, c_a)
 
 with W the cluster weights; a singleton source contributes -w D(x_g, c_a).
-``_hartigan`` is its one definition, read off the cached (N, K) divergence
-matrix, so these kinds need no (N, K, d) scratch; KL and Itakura-Saito
-keep the rank-one form. ``move_cost_matrix`` scores both in one loop over
-destination centers, each column's costs written over its column of the
-divergences, which no cost column reads but its own: besides the (N, K)
-matrix it is given, the quadratic kinds hold a few (N,) arrays and KL and
-Itakura-Saito a few (N, d) arrays.
+``_hartigan_factor`` and ``_hartigan`` are its one definition, read off
+the cached (N, K) divergence matrix, so these kinds need no (N, K, d)
+scratch; KL and Itakura-Saito keep the rank-one form. ``move_cost_matrix``
+scores both in one loop over destination centers, each column's costs
+written over its column of the divergences, which no cost column reads
+but its own: besides the (N, K) matrix it is given, the quadratic kinds
+hold a few (N,) arrays and KL and Itakura-Saito a few (N, d) arrays.
 
 The escape steps ``c_lo_step``, ``d_lo_step`` and ``min_d_lo_step`` only
 choose a move, returned as a ``(point, destination)`` pair, or None when
@@ -77,13 +77,16 @@ def shift_cost(spec: DivergenceSpec, center, x, weight_sum, s):
     """``(W + s) D(c', c)``: how much the loss of a cluster of weight ``W``
     and mean ``c`` falls when signed weight ``s`` at ``x`` joins it (``s =
     -w`` moves a point out) and its center moves to the new mean ``c' = c +
-    s (x - c) / (W + s)``. ``W`` and ``s`` broadcast against
-    ``center.shape[:-1]``; a cluster left with no positive weight raises
-    ArithmeticError."""
+    s (x - c) / (W + s)``, formed in that order in one array of the shape
+    of ``x - c``, into whose leading axes ``W`` and ``s`` broadcast. A
+    cluster left with no positive weight raises ArithmeticError."""
     grown = np.asarray(weight_sum + s)[..., None]
     if (grown <= 0.0).any():
         raise ArithmeticError("cluster weights inconsistent with member weights")
-    shifted = center + np.asarray(s)[..., None] * (x - center) / grown
+    shifted = np.subtract(x, center)
+    shifted *= np.asarray(s)[..., None]
+    shifted /= grown
+    shifted += center
     return grown[..., 0] * rowwise(spec, shifted, center)
 
 
@@ -100,14 +103,19 @@ def shift_cost(spec: DivergenceSpec, center, x, weight_sum, s):
 _SCREEN_MARGIN = 16 * 2.0**-53
 
 
-def _hartigan(weight_sum, weights, divs, src, out=None, factor=None, grown=None):
-    """Hartigan's move cost ``w W / (W + w) D - src``, the one evaluation
-    order of the quadratic kinds: ``W w``, ``W + w``, their quotient, times
-    ``D``, less ``src``. Arguments broadcast; ``out``, ``factor`` and
+def _hartigan_factor(weight_sum, weights, out=None, grown=None):
+    """Hartigan's factor ``w W / (W + w)`` in its one evaluation order:
+    ``W w``, ``W + w``, their quotient. Arguments broadcast; ``out`` and
     ``grown`` are optional scratch of the result's shape."""
-    factor = np.multiply(weight_sum, weights, out=factor)
+    out = np.multiply(weight_sum, weights, out=out)
     grown = np.add(weight_sum, weights, out=grown)
-    np.divide(factor, grown, out=factor)
+    return np.divide(out, grown, out=out)
+
+
+def _hartigan(factor, divs, src, out=None):
+    """Hartigan's move cost ``w W / (W + w) D - src``, the one evaluation
+    order of the quadratic kinds: ``_hartigan_factor`` times ``D``, less
+    ``src``. Arguments broadcast; ``out`` is optional scratch."""
     out = np.multiply(factor, divs, out=out)
     return np.subtract(out, src, out=out)
 
@@ -126,30 +134,31 @@ def _source_terms(
     ``src`` is Hartigan's w W_a / (W_a - w) D_a, or the rank-one
     ``shift_cost(c_a, x, W_a, -w)``. A singleton source keeps w D_a, or 0
     with the rank-one formula skipped entirely, since its intermediate
-    value could leave the divergence domain.
+    value could leave the divergence domain. The quadratic kinds hold
+    three (N,) float arrays at most.
     """
-    points = dataset.points
     weights = dataset.weights
-    n = points.shape[0]
-    weight_sum = stats.weight_sum
-
-    own = divs[np.arange(n), labels]
-    held = weight_sum[labels]
-    remaining = held - weights
+    own = divs[np.arange(dataset.n), labels]
     multi = stats.member_count[labels] > 1
+    held = stats.weight_sum[labels]
+    remaining = held - weights
     if ((remaining <= 0.0) & multi).any():
         raise ArithmeticError("cluster weights inconsistent with member weights")
     if spec.quadratic:
-        src = np.ones(n, dtype=np.float64)
-        src[multi] = held[multi] / remaining[multi]
-        src *= weights
-        src *= own
-    else:
-        src = np.zeros(n, dtype=np.float64)
-        if multi.any():
-            idx = np.flatnonzero(multi)
-            a = labels[idx]
-            src[idx] = shift_cost(spec, centers[a], points[idx], weight_sum[a], -weights[idx])
+        # W_a / (W_a - w), or 1 for a singleton, then times w and D_a, over ``held``.
+        np.divide(held, remaining, out=held, where=multi)
+        held[~multi] = 1.0
+        held *= weights
+        held *= own
+        return own, multi, held
+    del held, remaining  # the rank-one terms hold (N, d) arrays
+    src = np.zeros(dataset.n, dtype=np.float64)
+    if multi.any():
+        idx = np.flatnonzero(multi)
+        a = labels[idx]
+        src[idx] = shift_cost(
+            spec, centers[a], dataset.points[idx], stats.weight_sum[a], -weights[idx]
+        )
     return own, multi, src
 
 
@@ -185,7 +194,8 @@ def move_cost_matrix(
     # dispatch would add a tenth to the call's time.
     for col, center, w_b in zip(divs.T, centers, stats.weight_sum):
         if spec.quadratic:
-            _hartigan(w_b, weights, col, src, out=col, factor=factor, grown=grown)
+            _hartigan_factor(w_b, weights, out=factor, grown=grown)
+            _hartigan(factor, col, src, out=col)
         else:
             np.subtract(col, own, out=col)
             np.multiply(col, weights, out=col)
@@ -224,8 +234,8 @@ def _move_costs_and_bar(
     as such, and the costs returned are its first rows, the i-th kept
     row's costs in row i.
     """
-    rows = np.arange(dataset.n)
     if not spec.quadratic:
+        rows = np.arange(dataset.n)
         loss = float(dataset.weights @ divs[rows, labels])
         delta = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
         delta[stats.member_count[labels] == 1] = np.inf
@@ -233,11 +243,18 @@ def _move_costs_and_bar(
     weights = dataset.weights
     own, multi, src = _source_terms(dataset, labels, stats, centers, spec, divs)
     bar = rounding_floor(float(weights @ own))
-    divs[rows, labels] = np.inf
-    nearest = divs.min(axis=1)
-    np.multiply(nearest, 1.0 - _SCREEN_MARGIN, out=nearest)
-    bound = _hartigan(stats.weight_sum.min(), weights, nearest, src, out=nearest)
+    # At most three (N,) float arrays live at once: each is dropped once
+    # read, and the bound's factor is formed before the nearest other
+    # divergence it multiplies, which becomes the bound.
+    del own
+    divs[np.arange(dataset.n), labels] = np.inf
+    factor = _hartigan_factor(stats.weight_sum.min(), weights)
+    bound = divs.min(axis=1)
+    np.multiply(bound, 1.0 - _SCREEN_MARGIN, out=bound)
+    _hartigan(factor, bound, src, out=bound)
+    del factor
     rows = np.flatnonzero((bound < -bar) & multi)
+    del bound
     # The kept rows' costs go over the front rows of ``divs``, row i's at
     # position i: rows ascend, so no row is read after it is written over.
     # Blocks of at most N entries hold the scratch of N-long columns.
@@ -245,7 +262,8 @@ def _move_costs_and_bar(
     for start in range(0, rows.size, height):
         part = rows[start : start + height]
         block = divs[part]
-        _hartigan(stats.weight_sum, weights[part, None], block, src[part, None], out=block)
+        factor = _hartigan_factor(stats.weight_sum, weights[part, None])
+        _hartigan(factor, block, src[part, None], out=block)
         divs[start : start + part.size] = block
     return rows, divs[: rows.size], bar
 

@@ -139,14 +139,16 @@ def weighted_sums(
 ) -> np.ndarray:
     """(K, d) per-cluster sums of ``w x``, each accumulated in point order.
 
-    The products are formed coordinate-major, (d, N), so that each
-    coordinate's ``bincount`` reads contiguous memory.
+    Each coordinate's products ``w x_j`` are formed in one reused (N,)
+    column and summed by one ``bincount``, so the call holds no (d, N)
+    product and no ufunc buffer.
     """
     n, d = points.shape
-    weighted = np.multiply(points.T, weights, out=np.empty((d, n)))
+    column = np.empty(n)
     sums = np.empty((k, d), dtype=np.float64)
     for j in range(d):
-        sums[:, j] = np.bincount(labels, weights=weighted[j], minlength=k)
+        np.multiply(points[:, j], weights, out=column)
+        sums[:, j] = np.bincount(labels, weights=column, minlength=k)
     return sums
 
 
@@ -212,10 +214,28 @@ def rounding_floor(loss: float) -> float:
 TIE_TOLERANCE = 1e-9
 
 
-def within_tie_band(divs: np.ndarray, tie_tolerance: float) -> np.ndarray:
-    """(N, K) mask of the centers within ``dmin + tol (1 + |dmin|)`` of each row."""
-    dmin = divs.min(axis=1)
-    return divs <= (dmin + tie_tolerance * (1.0 + np.abs(dmin)))[:, None]
+def within_tie_band(divs: np.ndarray, tie_tolerance: float, dtype=bool) -> np.ndarray:
+    """(N, K) mask of the centers within ``dmin + tol (1 + |dmin|)`` of each row.
+
+    The mask is center-major, the transpose of a C-contiguous (K, N) array
+    built one center at a time, as ``pairwise`` lays out its divergences:
+    a compare of each center's divergences against the (N,) bound reads
+    and writes contiguous memory without a broadcast, and so without
+    numpy's 64 KB iteration buffer. ``dtype`` is bool, or an unsigned
+    integer type holding 1 and 0 for a caller that ranks the band in
+    place, as the assignment sweep does.
+    """
+    bound = divs.min(axis=1)
+    slack = np.abs(bound)
+    slack += 1.0
+    slack *= tie_tolerance
+    bound += slack
+    del slack  # before the band: the sweep's peak
+    band = np.empty(divs.shape[::-1], dtype=dtype)
+    # A one-byte band takes the compare's booleans with no cast.
+    for center, within in zip(divs.T, band.view(bool) if band.itemsize == 1 else band):
+        np.less_equal(center, bound, out=within)
+    return band.T
 
 
 def tie_move(within: np.ndarray, labels: np.ndarray) -> tuple[int, int] | None:

@@ -25,6 +25,7 @@ from lokmeans.model import (
     rounding_floor,
     row_keys,
     weighted_sums,
+    within_tie_band,
 )
 from lokmeans.verify import D_LOCAL, NOT_LOCAL, Certificate, MoveDelta, loss_at_optimal_centers
 
@@ -127,6 +128,13 @@ def reference_bregman_move_costs(dataset, labels, stats, centers, spec, divs):
     ).T
     delta[rows, labels] = np.inf
     return delta
+
+
+def reference_labels(divs, tie_tolerance):
+    """The smallest index in each row's tie band, as an argmax over the
+    band: ``engine._assign_with_divergences`` must give these labels bit
+    for bit."""
+    return np.argmax(within_tie_band(divs, tie_tolerance), axis=1)
 
 
 def reference_escape_moves(dataset, labels, stats, centers, spec, divs):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_KINDS, random_instance, reference_kmeanspp, spec_for
+from conftest import ALL_KINDS, random_instance, reference_kmeanspp, reference_labels, spec_for
 from lokmeans import Dataset, DivergenceSpec, EngineConfig, engine, localopt, run
 from lokmeans.data_io import synth_uniform_grid
 from lokmeans.divergence import (
@@ -18,7 +18,7 @@ from lokmeans.divergence import (
     rowwise,
 )
 from lokmeans.engine import init_centers, repair_empty_clusters
-from lokmeans.model import EmptyClusterError, cluster_stats, clustering_loss
+from lokmeans.model import TIE_TOLERANCE, EmptyClusterError, cluster_stats, clustering_loss
 
 SQE = DivergenceSpec.squared_euclidean()
 
@@ -35,6 +35,38 @@ def test_assign_tie_prefers_smallest_index(counterexample):
     labels = engine._assign_with_divergences(dataset, centers, SQE, 1e-9)[0]
     # The point at 0 is exactly 4 from both centers; index 0 wins.
     np.testing.assert_array_equal(labels, [0, 0, 0, 1, 1])
+
+
+def test_assign_breaks_a_three_way_tie_to_the_smallest_index():
+    # Integer points with mean 0, so every divergence is exact: (0, 0) is 4
+    # from centers 1, 2 and 3, (0, -2) is 8 from centers 1 and 2, and
+    # (-1, 0) is 1 from center 2, 5 from center 3 and 9 from center 1.
+    points = [[0, 0], [0, -2], [0, 2], [8, 8], [-8, -8], [-1, 0], [1, 0]]
+    dataset = Dataset(np.array(points, dtype=float), np.ones(7))
+    centers = np.array([[8.0, 8.0], [2.0, 0.0], [-2.0, 0.0], [0.0, 2.0]])
+    labels, divs = engine._assign_with_divergences(dataset, centers, SQE, TIE_TOLERANCE)
+    assert divs[0].tolist() == [128.0, 4.0, 4.0, 4.0]
+    assert divs[1].tolist() == [164.0, 8.0, 8.0, 16.0]
+    assert divs[5].tolist() == [145.0, 9.0, 1.0, 5.0]
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [1, 1, 3, 0, 2, 2, 1]
+    # A band of 4 (1 + dmin) holds centers 1-3 for (-1, 0) and (-8, -8):
+    # the smallest index in it wins, not the nearest center.
+    wide, _ = engine._assign_with_divergences(dataset, centers, SQE, 4.0)
+    assert wide.tolist() == [1, 1, 3, 0, 1, 1, 1]
+    for tol, got in ((TIE_TOLERANCE, labels), (4.0, wide)):
+        assert got.tobytes() == reference_labels(divs, tol).tobytes()
+
+
+def test_assign_gives_label_zero_to_a_row_with_no_center_in_its_band(monkeypatch):
+    # A NaN divergence makes its row's minimum NaN, so no center of that row
+    # is in the band; argmax over the band then gives 0.
+    dataset = Dataset(np.array([[0.0], [1.0]]), np.ones(2))
+    divs = np.array([[3.0, np.nan], [1.0, 0.5], [2.0, 0.25]]).T
+    monkeypatch.setattr(engine, "pairwise", lambda *args, **kwargs: divs)
+    labels, _ = engine._assign_with_divergences(dataset, np.zeros((3, 1)), SQE, TIE_TOLERANCE)
+    assert labels.tolist() == [1, 0]
+    assert labels.tobytes() == reference_labels(divs, TIE_TOLERANCE).tobytes()
 
 
 def test_uniform_init_draws_distinct_data_points():
@@ -250,6 +282,31 @@ def test_kmeanspp_draws_the_centers_of_the_closed_form_loop(seed, n, d, k, kind,
     assert np.abs(kernel - closed).max() <= bound
 
 
+@seed(0)
+@settings(derandomize=True, deadline=None, max_examples=200)
+# Ranks above 255 take the band's wider type; the draw alone might miss it.
+@example(seed=3, n=400, d=1, k=300, kind="squared-euclidean", offset=1e5, grid=True, tol=TIE_TOLERANCE)
+@example(seed=4, n=300, d=2, k=256, kind="kl", offset=0.0, grid=False, tol=0.0)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 400),
+    d=st.integers(1, 3),
+    k=st.integers(2, 300),
+    kind=st.sampled_from(ALL_KINDS),
+    offset=st.sampled_from((0.0, 1e4, 1e5)),
+    grid=st.booleans(),
+    tol=st.sampled_from((0.0, TIE_TOLERANCE, 1e-3)),
+)
+def test_sweep_labels_are_the_smallest_index_in_the_tie_band(seed, n, d, k, kind, offset, grid, tol):
+    # Centers are drawn with replacement, so repeated centers tie exactly,
+    # and tie-heavy grids tie most points to several centers.
+    dataset, spec = _seeding_instance(kind, offset, grid, seed, n, d)
+    centers = dataset.points[np.random.default_rng(seed).integers(0, dataset.n, size=k)]
+    labels, divs = engine._assign_with_divergences(dataset, centers, spec, tol)
+    assert labels.dtype == np.int64
+    assert labels.tobytes() == reference_labels(divs, tol).tobytes()
+
+
 def test_init_rejects_k_above_n():
     dataset = Dataset(np.array([[0.0], [1.0]]), np.ones(2))
     with pytest.raises(ValueError, match="distinct centers"):
@@ -405,9 +462,10 @@ def test_config_validation():
 def test_escape_run_holds_the_frame_divergences_and_move_costs():
     # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8): the frame takes
     # 64 KB and the divergences, which the move costs are written over,
-    # 128 KB. A d-lo run peaks at 311-322 KB on seeds 1-6; a separate (N, K)
-    # move-cost matrix took it to 387-398 KB and a (K, N) scratch for W + w
-    # besides to 517-528 KB.
+    # 128 KB. A d-lo run peaks at 280-290 KB on seeds 1-6, in ``pairwise``;
+    # a sweep and stats pass with ufunc buffers took it to 311-322 KB, a
+    # separate (N, K) move-cost matrix to 387-398 KB and a (K, N) scratch
+    # for W + w besides to 517-528 KB.
     rng = np.random.default_rng(1)
     n, k, d = 1000, 16, 8
     dataset = Dataset(rng.normal(size=(n, d)), rng.integers(1, 4, size=n).astype(float))
@@ -421,6 +479,47 @@ def test_escape_run_holds_the_frame_divergences_and_move_costs():
         tracemalloc.stop()
     assert report.new_step_invocations > 0
     assert peak <= 350_000, peak
+
+
+def _traced_sweep(dataset, centers):
+    """The sweep of ``run`` in the dataset's frame, and its tracemalloc peak."""
+    terms = point_terms(SQE, dataset.points)
+    frame = Dataset(terms.points, dataset.weights)
+    centers = centers - terms.origin
+    engine._assign_with_divergences(frame, centers, SQE, TIE_TOLERANCE, terms=terms)
+    tracemalloc.start()
+    try:
+        labels, divs = engine._assign_with_divergences(frame, centers, SQE, TIE_TOLERANCE, terms=terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return labels, divs, peak
+
+
+def test_sweep_holds_its_divergences_the_band_and_columns():
+    # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8): the divergences
+    # take 128 KB and the labels 8 KB. The sweep peaks 18 KB above them:
+    # the 16 KB (K, N) band and a little. Broadcasts through numpy's
+    # 64 KB iteration buffer, in ``pairwise``'s adds and the band's compare,
+    # and argmax's transposed copy of the band took it 90 KB above.
+    rng = np.random.default_rng(3)
+    n, k, d = 1000, 16, 8
+    dataset = Dataset(rng.normal(size=(n, d)), rng.integers(1, 4, size=n).astype(float))
+    labels, divs, peak = _traced_sweep(dataset, dataset.points[:k])
+    assert labels.tobytes() == reference_labels(divs, TIE_TOLERANCE).tobytes()
+    assert peak <= divs.nbytes + labels.nbytes + 40_000, peak
+
+
+def test_large_sweep_holds_its_output_the_band_and_columns():
+    # Figures for numpy 2.4 at (N, K, d) = (20000, 64, 8), where ``pairwise``
+    # needs no iteration buffer: the divergences take 10.24 MB, the labels
+    # 0.16 MB and the band 1.28 MB. The sweep peaks at 11.70 MB; argmax's
+    # transposed copy of the band took it to 12.96 MB.
+    rng = np.random.default_rng(4)
+    n, k, d = 20000, 64, 8
+    dataset = Dataset(rng.normal(size=(n, d)), np.ones(n))
+    labels, divs, peak = _traced_sweep(dataset, dataset.points[:k])
+    assert peak <= divs.nbytes + labels.nbytes + n * k + 4 * 8 * n, peak
 
 
 def test_run_input_validation(counterexample):

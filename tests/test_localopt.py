@@ -44,6 +44,7 @@ from lokmeans.localopt import (
     min_d_lo_step,
     move_cost_matrix,
     pnx_run,
+    shift_cost,
 )
 from lokmeans.model import (
     TIE_TOLERANCE,
@@ -506,8 +507,8 @@ def test_screened_step_holds_column_scratch_when_most_rows_are_kept():
     # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8), whose (N, K)
     # matrix takes 128 KB and an (N,) float column 8 KB. On a random
     # labeling 944 rows pass the screen; scoring them in blocks of at most
-    # N entries over the front rows of the divergences peaks at 85 KB, and
-    # the full move-cost matrix at 58 KB. Scoring every kept row in one
+    # N entries over the front rows of the divergences peaks at 67 KB, and
+    # the full move-cost matrix at 45 KB. Scoring every kept row in one
     # (rows, K) copy with its factor and sum scratch peaked at 599 KB.
     rng = np.random.default_rng(5)
     n, k, d = 1000, 16, 8
@@ -532,10 +533,10 @@ def test_screened_step_holds_column_scratch_when_most_rows_are_kept():
 def test_quadratic_move_cost_matrix_holds_its_output_and_column_scratch():
     # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8), whose (N, K)
     # matrix takes 128 KB and an (N,) float column 8 KB. Writing each
-    # destination center's costs over its divergences peaks at 58 KB: the
-    # row indices, own divergences, remaining weights, source terms, the
-    # W_b w / (W_b + w) and W_b + w scratch and a boolean mask, under nine
-    # columns and no (N, K) array. A separate (N, K) output peaked at 173
+    # destination center's costs over its divergences peaks at 45 KB: the
+    # own divergences, source terms, the W_b w / (W_b + w) and W_b + w
+    # scratch, the row indices and boolean masks, under six columns and no
+    # (N, K) array. A separate (N, K) output peaked at 173
     # KB, three broadcast (K, N) temporaries at 419 KB and one bounded
     # (K, N) scratch at 291 KB.
     rng = np.random.default_rng(5)
@@ -559,11 +560,12 @@ def test_quadratic_move_cost_matrix_holds_its_output_and_column_scratch():
 def test_bregman_move_cost_matrix_holds_its_output_and_column_scratch(kind):
     # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8): the (N, K) matrix
     # takes 128 KB and an (N, d) array 64 KB. Writing each destination center's
-    # costs over its divergences peaks at 404 KB (KL) and 459 KB
-    # (Itakura-Saito), in the source term; a separate (N, K) output peaked
-    # at 462 and 459 KB, subtracting each center's term from a full (N, K)
-    # matrix at 533 and 587 KB, and the (K, rows, d) blocks before it at
-    # 3.5 and 4.4 MB.
+    # costs over its divergences peaks at 347 KB (KL) and 379 KB
+    # (Itakura-Saito), with ``shift_cost`` and ``rowwise`` writing each step
+    # over the last; their fresh arrays per step took it to 404 and 459 KB,
+    # a separate (N, K) output to 462 and 459 KB, subtracting each center's
+    # term from a full (N, K) matrix to 533 and 587 KB, and the (K, rows, d)
+    # blocks before it to 3.5 and 4.4 MB.
     rng = np.random.default_rng(5)
     n, k, d = 1000, 16, 8
     dataset = Dataset(np.exp(rng.normal(size=(n, d))), rng.integers(1, 4, size=n).astype(float))
@@ -578,7 +580,58 @@ def test_bregman_move_cost_matrix_holds_its_output_and_column_scratch(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= got.nbytes + 6 * dataset.points.nbytes, peak
+    assert peak <= got.nbytes + 4 * dataset.points.nbytes, peak
+
+
+@pytest.mark.parametrize("kind", (KL, ITAKURA_SAITO))
+def test_shift_cost_holds_the_shifted_means_and_rowwise_scratch(kind):
+    # Figures for numpy 2.4 at (N, d) = (1000, 8), where an (N, d) array
+    # takes 64 KB. One center against every point, a destination column of
+    # the move costs, peaks at 210 KB (KL) and 202 KB (Itakura-Saito): the
+    # shifted means, ``rowwise``'s float and boolean arrays (two float
+    # arrays for Itakura-Saito), and numpy's 64 KB iteration buffer for the
+    # broadcast center. A fresh array per step peaked at 274 and 265 KB.
+    rng = np.random.default_rng(8)
+    n, d = 1000, 8
+    points = np.exp(rng.normal(size=(n, d)))
+    weights = rng.integers(1, 4, size=n).astype(float)
+    spec = DivergenceSpec(kind)
+    center = points.mean(axis=0)
+    shift_cost(spec, center, points, 500.0, weights)
+    tracemalloc.start()
+    try:
+        shift_cost(spec, center, points, 500.0, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * points.nbytes + 4 * 8 * n, peak
+
+
+def test_screened_steps_hold_a_few_columns_at_a_fixed_point():
+    # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8), where an (N,)
+    # float column takes 8 KB. At a K-means fixed point few rows pass the
+    # screen, and each step peaks at 28 KB beside the divergences: three
+    # (N,) float arrays at once. Copies of the source terms' operands, and
+    # the bound's factor and sum formed beside the nearest divergences,
+    # peaked at 66 KB.
+    rng = np.random.default_rng(7)
+    n, k, d = 1000, 16, 8
+    dataset = Dataset(rng.normal(size=(n, d)), rng.integers(1, 4, size=n).astype(float))
+    labels = run(dataset, EngineConfig(k=k, divergence=SQE, init="kmeans++", seed=7)).final_labels
+    stats, centers = _state(dataset, labels, k)
+    divs = pairwise(SQE, dataset.points, centers)
+    rows, _, _ = _move_costs_and_bar(dataset, labels, stats, centers, SQE, np.copy(divs))
+    assert rows.size < 0.05 * n
+    for step in (d_lo_step, min_d_lo_step):
+        _choose(step, dataset, labels, stats, centers, SQE, np.copy(divs))
+        scratch = np.copy(divs)
+        tracemalloc.start()
+        try:
+            _choose(step, dataset, labels, stats, centers, SQE, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n, (step.__name__, peak)
 
 
 def test_steps_decline_at_single_move_optimum(counterexample):

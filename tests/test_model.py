@@ -1,5 +1,7 @@
 """Dataset container, sufficient statistics, and center mathematics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -14,6 +16,7 @@ from lokmeans.model import (
     check_labels,
     cluster_stats,
     clustering_loss,
+    weighted_sums,
 )
 
 KMEANS_LABELS = np.array([0, 0, 0, 1, 1])
@@ -74,6 +77,38 @@ def test_cluster_stats_totals():
             rtol=1e-12,
             atol=1e-12,
         )
+
+
+def test_weighted_sums_add_each_coordinates_products_in_point_order():
+    # The sums of a (d, N) product ``points.T * weights``, one bincount per
+    # coordinate, to the bit: the same products, added in the same order.
+    rng = np.random.default_rng(2)
+    for n, d, k in ((1, 1, 1), (37, 3, 5), (1000, 8, 16)):
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 6, size=d)
+        weights = rng.uniform(0.5, 3.0, size=n)
+        labels = rng.integers(0, k, size=n)
+        product = points.T * weights
+        expected = np.stack([np.bincount(labels, weights=row, minlength=k) for row in product], axis=1)
+        assert weighted_sums(points, weights, labels, k).tobytes() == expected.tobytes()
+
+
+def test_cluster_stats_holds_a_few_columns():
+    # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8), where an (N,)
+    # float column takes 8 KB: the call peaks at 10 KB, one reused column
+    # of products and the (K, d) sums. A (d, N) product peaked at 194 KB,
+    # with the 128 KB of buffers its broadcast multiply took.
+    rng = np.random.default_rng(6)
+    n, k, d = 1000, 16, 8
+    dataset = Dataset(rng.normal(size=(n, d)), rng.integers(1, 4, size=n).astype(float))
+    labels = rng.integers(0, k, size=n)
+    cluster_stats(dataset, labels, k)
+    tracemalloc.start()
+    try:
+        cluster_stats(dataset, labels, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n, peak
 
 
 def test_cluster_stats_checks_labels():
