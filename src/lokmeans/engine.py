@@ -40,8 +40,8 @@ from .model import (
     Dataset,
     check_tolerance,
     cluster_stats,
+    smallest_in_band,
     unchecked_clustering_loss,
-    within_tie_band,
 )
 
 VARIANTS = ("none", "c-lo", "d-lo", "min-d-lo", "pnx")
@@ -182,24 +182,13 @@ def _assign_with_divergences(
     *,
     terms: PointTerms | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-center labels (smallest index within the tie band) and the divergences.
+    """Nearest-center labels, ``model.smallest_in_band``, and the divergences.
 
     Besides the (N, K) divergences, the sweep holds the (K, N) band, in
-    the narrowest unsigned type that holds K, and (N,) arrays. Center b's
-    row of the band is scaled to rank K - b in place, so the largest rank
-    of a column is ``K -`` its smallest in-band index: one contiguous max
-    over the centers, where an argmax over the center-major band would
-    copy it transposed. A row with no center in its band (a NaN
-    divergence) gets label 0, as argmax gives.
+    the narrowest unsigned type that holds K, and (N,) arrays.
     """
     divs = pairwise(spec, dataset.points, centers, terms=terms)
-    k = divs.shape[1]
-    ranks = within_tie_band(divs, tie_tolerance, np.min_scalar_type(k)).T
-    np.multiply(ranks, np.arange(k, 0, -1, dtype=ranks.dtype)[:, None], out=ranks)
-    labels = ranks.max(axis=0).astype(np.int64)
-    np.subtract(k, labels, out=labels)
-    labels[labels == k] = 0
-    return labels, divs
+    return smallest_in_band(divs, tie_tolerance), divs
 
 
 def repair_empty_clusters(

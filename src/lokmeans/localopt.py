@@ -10,9 +10,11 @@ optimal centers before and after) has the closed form
 where c_a', c_b' are the post-move weighted means, obtained in O(d) by a
 rank-one shift. Each center term is ``shift_cost``, the one definition of
 (W + s) D(c', c) for a cluster of weight W that gains signed weight s. The
-source term is zero when the move empties cluster ``a``.
-Evaluating this instead of recomputing the full loss is what makes the
-local-optimality steps cheap.
+source term is zero when the move empties cluster ``a``: ``_source_terms``
+has a singleton's point move zero weight out, so its cluster keeps its
+center, and one pass over every row gives each term. Evaluating this
+instead of recomputing the full loss is what makes the local-optimality
+steps cheap.
 
 For quadratic phi (squared Euclidean and Mahalanobis) both center shifts
 are multiples of D(x_g, c), and the move cost reduces to
@@ -20,7 +22,8 @@ Hartigan's form (Telgarsky & Vattani, *Hartigan's Method*, AISTATS 2010)
 
     delta = w W_b / (W_b + w) D(x_g, c_b) - w W_a / (W_a - w) D(x_g, c_a)
 
-with W the cluster weights; a singleton source contributes -w D(x_g, c_a).
+with W the cluster weights; a singleton source contributes -w D(x_g, c_a),
+the same expression with no weight taken out of W_a.
 ``_hartigan_factor`` and ``_hartigan`` are its one definition, read off
 the cached (N, K) divergence matrix, so these kinds need no (N, K, d)
 scratch; KL and Itakura-Saito keep the rank-one form. ``move_cost_matrix``
@@ -131,35 +134,29 @@ def _source_terms(
     """Per point: its divergence to its own center, whether its cluster has
     other members, and the source term ``src`` of its move costs.
 
-    ``src`` is Hartigan's w W_a / (W_a - w) D_a, or the rank-one
-    ``shift_cost(c_a, x, W_a, -w)``. A singleton source keeps w D_a, or 0
-    with the rank-one formula skipped entirely, since its intermediate
-    value could leave the divergence domain. The quadratic kinds hold
-    three (N,) float arrays at most.
+    Each point takes ``moved = w`` out of its cluster, or no weight when it
+    is the cluster's only member, so that a singleton's cluster keeps its
+    center and one formula gives every row: Hartigan's w W_a / (W_a -
+    moved) D_a, which is w D_a for a singleton, or the rank-one
+    ``shift_cost(c_a, x, W_a, -moved)``, which is D(c_a, c_a) = 0 for one.
+    The quadratic kinds hold three (N,) float arrays at most.
     """
     weights = dataset.weights
     own = divs[np.arange(dataset.n), labels]
     multi = stats.member_count[labels] > 1
+    moved = weights * multi
     held = stats.weight_sum[labels]
-    remaining = held - weights
-    if ((remaining <= 0.0) & multi).any():
+    if not spec.quadratic:
+        np.negative(moved, out=moved)
+        return own, multi, shift_cost(spec, centers[labels], dataset.points, held, moved)
+    remaining = np.subtract(held, moved, out=moved)
+    if (remaining <= 0.0).any():
         raise ArithmeticError("cluster weights inconsistent with member weights")
-    if spec.quadratic:
-        # W_a / (W_a - w), or 1 for a singleton, then times w and D_a, over ``held``.
-        np.divide(held, remaining, out=held, where=multi)
-        held[~multi] = 1.0
-        held *= weights
-        held *= own
-        return own, multi, held
-    del held, remaining  # the rank-one terms hold (N, d) arrays
-    src = np.zeros(dataset.n, dtype=np.float64)
-    if multi.any():
-        idx = np.flatnonzero(multi)
-        a = labels[idx]
-        src[idx] = shift_cost(
-            spec, centers[a], dataset.points[idx], stats.weight_sum[a], -weights[idx]
-        )
-    return own, multi, src
+    # W_a / (W_a - moved), then times w and D_a, over ``held``.
+    np.divide(held, remaining, out=held)
+    held *= weights
+    held *= own
+    return own, multi, held
 
 
 def move_cost_matrix(
@@ -257,14 +254,22 @@ def _move_costs_and_bar(
     del bound
     # The kept rows' costs go over the front rows of ``divs``, row i's at
     # position i: rows ascend, so no row is read after it is written over.
-    # Blocks of at most N entries hold the scratch of N-long columns.
-    height = max(1, dataset.n // divs.shape[1])
-    for start in range(0, rows.size, height):
-        part = rows[start : start + height]
-        block = divs[part]
-        factor = _hartigan_factor(stats.weight_sum, weights[part, None])
-        _hartigan(factor, block, src[part, None], out=block)
-        divs[start : start + part.size] = block
+    # Blocks of at most N entries hold the scratch of N-long columns. Each
+    # is a (K, rows) slice of the center-major ``divs.T``; past one block,
+    # a 16-element buffer reads its broadcast operands in place, as in
+    # ``pairwise``, where numpy would copy them through its iteration
+    # buffer. One block, the usual case at a fixed point, skips the two
+    # calls: its copies are no larger than the block.
+    width = max(1, dataset.n // divs.shape[1])
+    size = np.setbufsize(16) if rows.size > width else None
+    try:
+        for start in range(0, rows.size, width):
+            part = rows[start : start + width]
+            factor = _hartigan_factor(stats.weight_sum[:, None], weights[part])
+            _hartigan(factor, divs.T[:, part], src[part], out=divs.T[:, start : start + part.size])
+    finally:
+        if size is not None:
+            np.setbufsize(size)
     return rows, divs[: rows.size], bar
 
 
@@ -311,12 +316,14 @@ def d_lo_step(
     written over as it says.
     """
     rows, delta, bar = _move_costs_and_bar(dataset, labels, stats, centers, spec, divs)
-    improving = delta < -bar
-    gains = improving.any(axis=1)
+    # A row gains when its smallest cost beats the bar; ``fmin`` skips a
+    # NaN, as the bar's compare does. A (rows, K) mask of that compare
+    # would copy the bar through numpy's 64 KB iteration buffer.
+    gains = np.fmin.reduce(delta, axis=1) < -bar
     if not gains.any():
         return None
     row = int(np.argmax(gains))
-    return int(rows[row]), int(np.argmax(improving[row]))
+    return int(rows[row]), int(np.argmax(delta[row] < -bar))
 
 
 def min_d_lo_step(

@@ -7,10 +7,12 @@ The clustering objective is
 over hard assignments P and centers C. For every divergence supported
 here the optimal center of a cluster is its weighted mean, so center
 updates never depend on the divergence choice: every center is
-``ClusterStats.centers()`` of its cluster's sums. The escape core and the
-certificates share three definitions from here: ``within_tie_band`` (the
-tie band), ``tie_move`` (the one move that breaks a tie) and
-``rounding_floor`` (the one bar a gain must clear, at any offset).
+``ClusterStats.centers()`` of its cluster's sums. The sweep, the escape
+core and the certificates share four definitions from here:
+``within_tie_band`` (the tie band), ``smallest_in_band`` (the sweep's
+label, the smallest index in the band), ``tie_move`` (the one move that
+breaks a tie) and ``rounding_floor`` (the one bar a gain must clear, at
+any offset).
 """
 
 from __future__ import annotations
@@ -214,16 +216,14 @@ def rounding_floor(loss: float) -> float:
 TIE_TOLERANCE = 1e-9
 
 
-def within_tie_band(divs: np.ndarray, tie_tolerance: float, dtype=bool) -> np.ndarray:
-    """(N, K) mask of the centers within ``dmin + tol (1 + |dmin|)`` of each row.
+def _tie_band(divs: np.ndarray, tie_tolerance: float, dtype) -> np.ndarray:
+    """(K, N) band: 1 where a center lies within ``dmin + tol (1 + |dmin|)``
+    of the row's smallest divergence, else 0, in ``dtype``.
 
-    The mask is center-major, the transpose of a C-contiguous (K, N) array
-    built one center at a time, as ``pairwise`` lays out its divergences:
+    Built one center at a time, as ``pairwise`` lays out its divergences:
     a compare of each center's divergences against the (N,) bound reads
     and writes contiguous memory without a broadcast, and so without
-    numpy's 64 KB iteration buffer. ``dtype`` is bool, or an unsigned
-    integer type holding 1 and 0 for a caller that ranks the band in
-    place, as the assignment sweep does.
+    numpy's 64 KB iteration buffer.
     """
     bound = divs.min(axis=1)
     slack = np.abs(bound)
@@ -235,7 +235,30 @@ def within_tie_band(divs: np.ndarray, tie_tolerance: float, dtype=bool) -> np.nd
     # A one-byte band takes the compare's booleans with no cast.
     for center, within in zip(divs.T, band.view(bool) if band.itemsize == 1 else band):
         np.less_equal(center, bound, out=within)
-    return band.T
+    return band
+
+
+def within_tie_band(divs: np.ndarray, tie_tolerance: float) -> np.ndarray:
+    """(N, K) mask of the centers within ``dmin + tol (1 + |dmin|)`` of
+    each row: the transpose of a C-contiguous (K, N) boolean band."""
+    return _tie_band(divs, tie_tolerance, bool).T
+
+
+def smallest_in_band(divs: np.ndarray, tie_tolerance: float) -> np.ndarray:
+    """Each row's smallest center index within its tie band: the sweep's
+    labels. A row with no center in its band (a NaN divergence) gets 0.
+
+    The band is built in the narrowest unsigned type that holds K, and
+    center b's row is scaled to rank K - b in place, so the largest rank
+    of a column is ``K -`` its smallest in-band index, and 0 for an empty
+    band: one contiguous max over the centers, where an argmax over the
+    center-major band would copy it transposed. ``K -`` the max, modulo K,
+    is the label, formed in that narrow type.
+    """
+    k = divs.shape[1]
+    ranks = _tie_band(divs, tie_tolerance, np.min_scalar_type(k))
+    np.multiply(ranks, np.arange(k, 0, -1, dtype=ranks.dtype)[:, None], out=ranks)
+    return ((k - ranks.max(axis=0)) % k).astype(np.int64)
 
 
 def tie_move(within: np.ndarray, labels: np.ndarray) -> tuple[int, int] | None:

@@ -1,6 +1,7 @@
 """Shared fixtures and instance generators for the test suite."""
 
 import csv
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +32,17 @@ from lokmeans.verify import D_LOCAL, NOT_LOCAL, Certificate, MoveDelta, loss_at_
 
 DATA_DIR = Path(__file__).parent / "data"
 IRIS_PATH = DATA_DIR / "iris.csv"
+
+
+def traced_peak(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` under tracemalloc: its result and the peak
+    of the memory traced during the call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_instance(rng, n_range=(4, 12), k_range=(2, 4), d_range=(1, 3)):
@@ -379,6 +391,18 @@ def spec_for(kind, rng, d):
 
 
 ALL_KINDS = (SQUARED_EUCLIDEAN, SQUARED_MAHALANOBIS, KL, ITAKURA_SAITO)
+
+
+@pytest.fixture(autouse=True)
+def default_ufunc_buffer():
+    """Fail a test that leaves numpy's ufunc buffer size changed: the
+    memory bounds hold for numpy's default buffer, and so would every later
+    test's only by chance."""
+    size = np.getbufsize()
+    yield
+    left = np.getbufsize()
+    np.setbufsize(size)
+    assert left == size, f"numpy's ufunc buffer size left at {left}, was {size}"
 
 
 @pytest.fixture()

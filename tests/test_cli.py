@@ -8,7 +8,6 @@ import json
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,6 +15,7 @@ import numpy as np
 import pytest
 
 import lokmeans
+from conftest import traced_peak
 from lokmeans import engine, experiments
 from lokmeans.cli import _jsonable, build_parser, main
 from lokmeans.experiments import IMPROVEMENT_METRICS
@@ -149,12 +149,8 @@ def test_run_holds_each_table_once(tmp_path):
     argv = ["run", "--data", str(data), "--k", "32", "--json", "--out", str(tmp_path / "run.json")]
     assert main(argv) == 0  # a first call builds what every later call reuses
     gc.collect()
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    status, peak = traced_peak(main, argv)
+    assert status == 0
     assert peak <= 1_630_000, peak
 
 

@@ -3,14 +3,13 @@
 import csv
 import gc
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import reference_dedup_merge, reference_load_csv
+from conftest import reference_dedup_merge, reference_load_csv, traced_peak
 from lokmeans import DivergenceSpec
 from lokmeans.data_io import (
     CsvFormatError,
@@ -165,12 +164,7 @@ def test_load_csv_holds_the_file_and_two_tables_at_most(tmp_path):
     path = tmp_path / "table.csv"
     np.savetxt(path, table, fmt="%.17g", delimiter=",")
     gc.collect()
-    tracemalloc.start()
-    try:
-        raw = load_csv(str(path), weight_column=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    raw, peak = traced_peak(load_csv, str(path), weight_column=0)
     assert raw.weights.base is None
     assert peak <= path.stat().st_size + 2 * table.nbytes + 64_000, peak
 

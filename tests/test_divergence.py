@@ -1,7 +1,6 @@
 """Divergence closed forms, domains, and the generating-function identity."""
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import ALL_KINDS, random_spd, reference_mahalanobis_phi, spec_for
+from conftest import ALL_KINDS, random_spd, reference_mahalanobis_phi, spec_for, traced_peak
 from lokmeans import Dataset, DivergenceSpec, EngineConfig, run
 from lokmeans.data_io import load_csv, synth_uniform_grid
 from lokmeans.divergence import (
@@ -224,12 +223,7 @@ def test_bregman_rowwise_holds_at_most_two_point_arrays(kind):
     y = np.exp(rng.normal(size=(n, d)))
     spec = DivergenceSpec(kind)
     rowwise(spec, x, y)
-    tracemalloc.start()
-    try:
-        rowwise(spec, x, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(rowwise, spec, x, y)[1]
     if kind == KL:
         assert peak <= x.nbytes + x.size + 4 * 8 * n, peak
     else:
@@ -251,12 +245,7 @@ def test_pairwise_holds_its_output_and_no_iteration_buffer(kind):
     terms = point_terms(spec, points)
     centers = terms.points[:k].copy()
     pairwise(spec, terms.points, centers, terms=terms)
-    tracemalloc.start()
-    try:
-        got = pairwise(spec, terms.points, centers, terms=terms)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(pairwise, spec, terms.points, centers, terms=terms)
     assert peak <= got.nbytes + 4_000, peak
 
 

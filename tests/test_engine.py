@@ -1,13 +1,18 @@
 """Engine behavior: seeding, assignment, repair, and full runs."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_KINDS, random_instance, reference_kmeanspp, reference_labels, spec_for
+from conftest import (
+    ALL_KINDS,
+    random_instance,
+    reference_kmeanspp,
+    reference_labels,
+    spec_for,
+    traced_peak,
+)
 from lokmeans import Dataset, DivergenceSpec, EngineConfig, engine, localopt, run
 from lokmeans.data_io import synth_uniform_grid
 from lokmeans.divergence import (
@@ -471,12 +476,7 @@ def test_escape_run_holds_the_frame_divergences_and_move_costs():
     dataset = Dataset(rng.normal(size=(n, d)), rng.integers(1, 4, size=n).astype(float))
     config = EngineConfig(k=k, divergence=SQE, init="kmeans++", variant="d-lo", seed=1)
     run(dataset, config)
-    tracemalloc.start()
-    try:
-        report = run(dataset, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(run, dataset, config)
     assert report.new_step_invocations > 0
     assert peak <= 350_000, peak
 
@@ -487,12 +487,9 @@ def _traced_sweep(dataset, centers):
     frame = Dataset(terms.points, dataset.weights)
     centers = centers - terms.origin
     engine._assign_with_divergences(frame, centers, SQE, TIE_TOLERANCE, terms=terms)
-    tracemalloc.start()
-    try:
-        labels, divs = engine._assign_with_divergences(frame, centers, SQE, TIE_TOLERANCE, terms=terms)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (labels, divs), peak = traced_peak(
+        engine._assign_with_divergences, frame, centers, SQE, TIE_TOLERANCE, terms=terms
+    )
     return labels, divs, peak
 
 

@@ -4,12 +4,12 @@ import contextlib
 import importlib
 import io
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from lokmeans import Dataset, DivergenceSpec, EngineConfig, cli, experiments, verify
 from lokmeans.data_io import counterexample_instance, synth_uniform_grid
 
@@ -73,13 +73,12 @@ def test_certify_labels_finds_an_empty_cluster_without_memory_per_label():
     # empty cluster must be found before any (k, d) statistics are built.
     dataset, _ = counterexample_instance()
     labels = np.array([0, 0, 0, 1, 2_000_000])
-    tracemalloc.start()
-    try:
+
+    def certify():
         with pytest.raises(ValueError, match="cluster 2 is empty"):
             experiments.certify_labels(dataset, labels, 2_000_001, SQE, 1e-9, 10**6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    peak = traced_peak(certify)[1]
     assert peak < 5 * 2**20
 
 

@@ -1,6 +1,5 @@
 """Move costs, escape steps, and the single-move local search."""
 
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +18,7 @@ from conftest import (
     reference_escape_moves,
     reference_quadratic_move_costs,
     spec_for,
+    traced_peak,
 )
 from lokmeans import (
     Dataset,
@@ -507,9 +507,12 @@ def test_screened_step_holds_column_scratch_when_most_rows_are_kept():
     # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8), whose (N, K)
     # matrix takes 128 KB and an (N,) float column 8 KB. On a random
     # labeling 944 rows pass the screen; scoring them in blocks of at most
-    # N entries over the front rows of the divergences peaks at 67 KB, and
-    # the full move-cost matrix at 45 KB. Scoring every kept row in one
-    # (rows, K) copy with its factor and sum scratch peaked at 599 KB.
+    # N entries over the front rows of the divergences peaks at 43 KB in
+    # either step, and the full move-cost matrix at 45 KB. Blocks whose
+    # broadcast operands went through numpy's iteration buffer peaked at
+    # 67 KB, and ``d_lo_step`` at 85 KB with a (rows, K) mask of the bar's
+    # compare; every kept row in one (rows, K) copy with its factor and sum
+    # scratch peaked at 599 KB.
     rng = np.random.default_rng(5)
     n, k, d = 1000, 16, 8
     dataset = Dataset(rng.normal(size=(n, d)), rng.integers(1, 4, size=n).astype(float))
@@ -521,13 +524,8 @@ def test_screened_step_holds_column_scratch_when_most_rows_are_kept():
     for step in (d_lo_step, min_d_lo_step):
         _choose(step, dataset, labels, stats, centers, SQE, np.copy(divs))
         scratch = np.copy(divs)
-        tracemalloc.start()
-        try:
-            _choose(step, dataset, labels, stats, centers, SQE, scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12 * 8 * n, (step.__name__, peak)
+        peak = traced_peak(_choose, step, dataset, labels, stats, centers, SQE, scratch)[1]
+        assert peak <= 8 * 8 * n, (step.__name__, peak)
 
 
 def test_quadratic_move_cost_matrix_holds_its_output_and_column_scratch():
@@ -546,12 +544,7 @@ def test_quadratic_move_cost_matrix_holds_its_output_and_column_scratch():
     stats, centers = _state(dataset, labels, k)
     divs = pairwise(SQE, dataset.points, centers)
     move_cost_matrix(dataset, labels, stats, centers, SQE, np.copy(divs))
-    tracemalloc.start()
-    try:
-        got = move_cost_matrix(dataset, labels, stats, centers, SQE, divs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(move_cost_matrix, dataset, labels, stats, centers, SQE, divs)
     assert got is divs
     assert peak <= 9 * 8 * n, peak
 
@@ -560,9 +553,11 @@ def test_quadratic_move_cost_matrix_holds_its_output_and_column_scratch():
 def test_bregman_move_cost_matrix_holds_its_output_and_column_scratch(kind):
     # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8): the (N, K) matrix
     # takes 128 KB and an (N, d) array 64 KB. Writing each destination center's
-    # costs over its divergences peaks at 347 KB (KL) and 379 KB
+    # costs over its divergences peaks at 258 KB (KL) and 290 KB
     # (Itakura-Saito), with ``shift_cost`` and ``rowwise`` writing each step
-    # over the last; their fresh arrays per step took it to 404 and 459 KB,
+    # over the last. Source terms formed on a gathered subset of the rows
+    # whose clusters have other members peaked at 347 and 379 KB; fresh
+    # arrays per step in ``shift_cost`` and ``rowwise`` at 404 and 459 KB,
     # a separate (N, K) output to 462 and 459 KB, subtracting each center's
     # term from a full (N, K) matrix to 533 and 587 KB, and the (K, rows, d)
     # blocks before it to 3.5 and 4.4 MB.
@@ -574,13 +569,8 @@ def test_bregman_move_cost_matrix_holds_its_output_and_column_scratch(kind):
     stats, centers = _state(dataset, labels, k)
     divs = pairwise(spec, dataset.points, centers)
     move_cost_matrix(dataset, labels, stats, centers, spec, np.copy(divs))
-    tracemalloc.start()
-    try:
-        got = move_cost_matrix(dataset, labels, stats, centers, spec, divs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= got.nbytes + 4 * dataset.points.nbytes, peak
+    got, peak = traced_peak(move_cost_matrix, dataset, labels, stats, centers, spec, divs)
+    assert peak <= got.nbytes + 3 * dataset.points.nbytes, peak
 
 
 @pytest.mark.parametrize("kind", (KL, ITAKURA_SAITO))
@@ -598,12 +588,7 @@ def test_shift_cost_holds_the_shifted_means_and_rowwise_scratch(kind):
     spec = DivergenceSpec(kind)
     center = points.mean(axis=0)
     shift_cost(spec, center, points, 500.0, weights)
-    tracemalloc.start()
-    try:
-        shift_cost(spec, center, points, 500.0, weights)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(shift_cost, spec, center, points, 500.0, weights)[1]
     assert peak <= 3 * points.nbytes + 4 * 8 * n, peak
 
 
@@ -625,12 +610,7 @@ def test_screened_steps_hold_a_few_columns_at_a_fixed_point():
     for step in (d_lo_step, min_d_lo_step):
         _choose(step, dataset, labels, stats, centers, SQE, np.copy(divs))
         scratch = np.copy(divs)
-        tracemalloc.start()
-        try:
-            _choose(step, dataset, labels, stats, centers, SQE, scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(_choose, step, dataset, labels, stats, centers, SQE, scratch)[1]
         assert peak <= 4 * 8 * n, (step.__name__, peak)
 
 

@@ -1,14 +1,12 @@
 """Dataset container, sufficient statistics, and center mathematics."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import ALL_KINDS, random_instance, reference_rows_distinct, spec_for
+from conftest import ALL_KINDS, random_instance, reference_rows_distinct, spec_for, traced_peak
 from lokmeans import Dataset, DivergenceSpec
 from lokmeans.divergence import DomainError
 from lokmeans.model import (
@@ -102,12 +100,7 @@ def test_cluster_stats_holds_a_few_columns():
     dataset = Dataset(rng.normal(size=(n, d)), rng.integers(1, 4, size=n).astype(float))
     labels = rng.integers(0, k, size=n)
     cluster_stats(dataset, labels, k)
-    tracemalloc.start()
-    try:
-        cluster_stats(dataset, labels, k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(cluster_stats, dataset, labels, k)[1]
     assert peak <= 4 * 8 * n, peak
 
 

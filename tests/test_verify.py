@@ -1,7 +1,6 @@
 """Certificates and brute-force enumeration as independent oracles."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from conftest import (
     reference_adjacent_deltas,
     reference_loss_at_optimal_centers,
     spec_for,
+    traced_peak,
 )
 from lokmeans import (
     Dataset,
@@ -244,12 +244,7 @@ def test_certify_c_local_checks_duplicate_centers_in_center_scratch():
     labels = np.arange(n) % k
     centers = cluster_stats(dataset, labels, k).centers()
     certify_c_local(dataset, labels, centers, SQE)
-    tracemalloc.start()
-    try:
-        certify_c_local(dataset, labels, centers, SQE)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(certify_c_local, dataset, labels, centers, SQE)[1]
     assert peak <= 1_000_000, peak
 
 
@@ -391,12 +386,7 @@ def test_certify_d_local_holds_its_deltas_and_column_scratch(kind):
     spec = spec_for(kind, rng, d)
     labels = np.arange(n) % k
     certify_d_local(dataset, labels, k, spec)
-    tracemalloc.start()
-    try:
-        certify_d_local(dataset, labels, k, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(certify_d_local, dataset, labels, k, spec)[1]
     assert peak <= 8 * n * k + 6 * dataset.points.nbytes, peak
 
 
@@ -562,12 +552,7 @@ def test_brute_force_holds_one_chunk_of_labelings():
     # 512 at a time, peaked at 303 KB.
     dataset = Dataset(np.random.default_rng(59).normal(size=(8, 2)), np.ones(8))
     brute_force_best(dataset, 3, SQE)
-    tracemalloc.start()
-    try:
-        brute_force_best(dataset, 3, SQE)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(brute_force_best, dataset, 3, SQE)[1]
     assert peak <= 200_000, peak
 
 
