@@ -255,21 +255,14 @@ def _move_costs_and_bar(
     # The kept rows' costs go over the front rows of ``divs``, row i's at
     # position i: rows ascend, so no row is read after it is written over.
     # Blocks of at most N entries hold the scratch of N-long columns. Each
-    # is a (K, rows) slice of the center-major ``divs.T``; past one block,
-    # a 16-element buffer reads its broadcast operands in place, as in
-    # ``pairwise``, where numpy would copy them through its iteration
-    # buffer. One block, the usual case at a fixed point, skips the two
-    # calls: its copies are no larger than the block.
+    # is a (K, rows) slice of the center-major ``divs.T``, so the copies
+    # numpy's iteration buffer makes of its broadcast operands are no
+    # larger than the block.
     width = max(1, dataset.n // divs.shape[1])
-    size = np.setbufsize(16) if rows.size > width else None
-    try:
-        for start in range(0, rows.size, width):
-            part = rows[start : start + width]
-            factor = _hartigan_factor(stats.weight_sum[:, None], weights[part])
-            _hartigan(factor, divs.T[:, part], src[part], out=divs.T[:, start : start + part.size])
-    finally:
-        if size is not None:
-            np.setbufsize(size)
+    for start in range(0, rows.size, width):
+        part = rows[start : start + width]
+        factor = _hartigan_factor(stats.weight_sum[:, None], weights[part])
+        _hartigan(factor, divs.T[:, part], src[part], out=divs.T[:, start : start + part.size])
     return rows, divs[: rows.size], bar
 
 

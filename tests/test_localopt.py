@@ -507,12 +507,12 @@ def test_screened_step_holds_column_scratch_when_most_rows_are_kept():
     # Figures for numpy 2.4 at (N, K, d) = (1000, 16, 8), whose (N, K)
     # matrix takes 128 KB and an (N,) float column 8 KB. On a random
     # labeling 944 rows pass the screen; scoring them in blocks of at most
-    # N entries over the front rows of the divergences peaks at 43 KB in
-    # either step, and the full move-cost matrix at 45 KB. Blocks whose
-    # broadcast operands went through numpy's iteration buffer peaked at
-    # 67 KB, and ``d_lo_step`` at 85 KB with a (rows, K) mask of the bar's
-    # compare; every kept row in one (rows, K) copy with its factor and sum
-    # scratch peaked at 599 KB.
+    # N entries over the front rows of the divergences peaks at 59 KB in
+    # either step, and the full move-cost matrix at 45 KB. (rows, K) blocks,
+    # whose (K,) x (rows, 1) factor numpy copied through its full 64 KB
+    # iteration buffer, peaked at 67 KB, and ``d_lo_step`` at 85 KB with a
+    # (rows, K) mask of the bar's compare; every kept row in one (rows, K)
+    # copy with its factor and sum scratch peaked at 599 KB.
     rng = np.random.default_rng(5)
     n, k, d = 1000, 16, 8
     dataset = Dataset(rng.normal(size=(n, d)), rng.integers(1, 4, size=n).astype(float))
